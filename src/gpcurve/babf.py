@@ -29,7 +29,13 @@ from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.gridutil import check_grid
 from gpcurve.results import SmoothResult, credible_band, scalar_summary
-from gpcurve.stochastic import RngStream, SpdMatrix, sample_gamma, sample_inverse_wishart
+from gpcurve.stochastic import (
+    RngStream,
+    SpdMatrix,
+    sample_gamma,
+    sample_inverse_wishart,
+    sample_mvn_canonical,
+)
 
 __all__ = [
     "BabfDraws",
@@ -40,6 +46,7 @@ __all__ = [
     "babf_step_meancov",
     "babf_step_noise",
     "babf_step_scale",
+    "babf_working_grid",
     "build_babf_context",
 ]
 
@@ -83,6 +90,14 @@ class BabfContext:
     @property
     def K(self) -> int:
         return self.btau.shape[1]
+
+
+def babf_working_grid(pooled: np.ndarray, L: int = DEFAULT_L, tau=None) -> WorkingGrid:
+    """The working grid :func:`babf_run` samples on: ``tau`` when given,
+    else L percentile sites of the pooled grid."""
+    if tau is None:
+        return select_working_grid(pooled, L)
+    return WorkingGrid(tau=np.asarray(tau, dtype=float), source="user")
 
 
 def build_babf_context(
@@ -139,18 +154,21 @@ def babf_init(ctx: BabfContext, est: EmpiricalEstimates) -> BabfState:
 
 
 def babf_step_coeffs(state: BabfState, ctx: BabfContext, rng: RngStream) -> np.ndarray:
-    """Draw every curve's coefficient vector from its Gaussian conditional."""
+    """Draw every curve's coefficient vector from its Gaussian conditional.
+
+    Curve i's precision is Sigma_zeta^-1 + B_i^T B_i / sigma_eps2.  Each
+    precision is factored once, L_i L_i^T, and the draw is taken as
+    prec_i^-1 (b_i + L_i z_i), one Cholesky solve per curve
+    (:func:`~gpcurve.stochastic.sample_mvn_canonical`), from n * K
+    standard normals.
+    """
     gen = rng.generator
     n, K = ctx.n, ctx.K
     sig_inv = state.Sigma_zeta.inverse()
     b = (sig_inv @ state.mu_zeta)[None, :] + ctx.btx / state.sigma_eps2
     prec = np.broadcast_to(sig_inv, (n, K, K)).copy()
     prec += ctx.btb / state.sigma_eps2
-    chol = np.linalg.cholesky(prec)
-    means = np.linalg.solve(prec, b[..., None])[..., 0]
-    z = gen.standard_normal((n, K, 1))
-    pert = np.linalg.solve(np.transpose(chol, (0, 2, 1)), z)[..., 0]
-    return means + pert
+    return sample_mvn_canonical(prec, b, gen.standard_normal((n, K)))
 
 
 def babf_step_meancov(
@@ -230,10 +248,14 @@ def babf_run(
 ) -> tuple[BabfDraws, SmoothResult]:
     """Run the coefficient-space Gibbs sampler and summarize.
 
-    The working grid defaults to L percentile sites of the pooled grid;
-    ``eval_grid`` defaults to the pooled grid.  When ``hyper`` is omitted,
-    empirical estimates and prior settings are built on the working grid
-    (``hyper_kwargs`` forwards to the prior constructor).
+    The working grid defaults to L percentile sites of the pooled grid
+    (:func:`babf_working_grid`); ``eval_grid`` defaults to the pooled grid.
+    When ``est`` is omitted or not on the working grid, empirical estimates
+    are built there; when ``hyper`` is omitted, prior settings are built
+    from them (``hyper_kwargs`` forwards to the prior constructor).
+    ``runtime_seconds`` covers the sampler alone, as in ``bhm_run``:
+    context, initial state, sweeps and summaries, not the empirical
+    estimates or the prior settings.
     """
     if burnin < 0 or M <= burnin:
         raise ValueError(f"need M > burnin >= 0, got M={M}, burnin={burnin}")
@@ -241,23 +263,19 @@ def babf_run(
         raise ValueError(f"resid_thin must be at least 1, got {resid_thin}")
     if rng is None:
         rng = RngStream(0)
-    started = time.perf_counter()
 
     pooled = data.pooled_grid
-    if tau is None:
-        working = select_working_grid(pooled, L)
-    else:
-        working = WorkingGrid(tau=np.asarray(tau, dtype=float), source="user")
-    if domain is None:
-        domain = (float(pooled[0]), float(pooled[-1]))
-    basis = build_basis(working, domain=domain)
-    eval_grid = pooled if eval_grid is None else check_grid(eval_grid, "eval_grid")
-
+    working = babf_working_grid(pooled, L, tau)
     if est is None or est.grid.shape != working.tau.shape or not np.array_equal(est.grid, working.tau):
         est = empirical_estimates(data, eval_grid=working.tau)
     if hyper is None:
         hyper = build_hyperparams(est, **(hyper_kwargs or {}))
 
+    started = time.perf_counter()
+    if domain is None:
+        domain = (float(pooled[0]), float(pooled[-1]))
+    basis = build_basis(working, domain=domain)
+    eval_grid = pooled if eval_grid is None else check_grid(eval_grid, "eval_grid")
     ctx = build_babf_context(data, hyper, basis, working.tau, eval_grid)
     state = babf_init(ctx, est)
     n, K, E = ctx.n, ctx.K, eval_grid.size

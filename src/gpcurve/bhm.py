@@ -21,7 +21,13 @@ from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, empirical_estimates
 from gpcurve.results import SmoothResult, credible_band, scalar_summary
-from gpcurve.stochastic import RngStream, SpdMatrix, sample_gamma, sample_inverse_wishart
+from gpcurve.stochastic import (
+    RngStream,
+    SpdMatrix,
+    sample_gamma,
+    sample_inverse_wishart,
+    sample_mvn_canonical,
+)
 
 __all__ = [
     "BhmDraws",
@@ -149,6 +155,11 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
 
     Precision is Sigma^-1 plus the observation indicator scaled by the
     noise precision; the draw is mean + L^-T z with L the precision factor.
+    On a common grid all curves share one precision and one factorization.
+    Otherwise each curve's precision is factored once and the draw is taken
+    as prec^-1 (b + L z), one Cholesky solve per curve
+    (:func:`~gpcurve.stochastic.sample_mvn_canonical`).  Either way the step
+    uses n * p standard normals.
     """
     gen = rng.generator
     n, p = ctx.n, ctx.p
@@ -165,11 +176,7 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
     prec = np.broadcast_to(sig_inv, (n, p, p)).copy()
     diag = np.arange(p)
     prec[:, diag, diag] += ctx.obs_mask / state.sigma_eps2
-    chol = np.linalg.cholesky(prec)
-    means = np.linalg.solve(prec, b[..., None])[..., 0]
-    z = gen.standard_normal((n, p, 1))
-    pert = np.linalg.solve(np.transpose(chol, (0, 2, 1)), z)[..., 0]
-    return means + pert
+    return sample_mvn_canonical(prec, b, gen.standard_normal((n, p)))
 
 
 def bhm_step_noise(state: BhmState, ctx: BhmContext, rng: RngStream) -> tuple[float, float]:

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from gpcurve.babf import babf_run
+from gpcurve.babf import babf_run, babf_working_grid
 from gpcurve.bhm import bhm_run
 from gpcurve.datagen import SimConfig, sim_gfd, sim_gfd_rgrid, true_mean_function
 from gpcurve.diagnostics import (
@@ -123,23 +123,36 @@ def cmd_smooth(args) -> int:
     domain = tuple(cfg.trange) if cfg.trange else tuple(meta["domain"])
     candidates = cfg.lambda_candidates()
 
+    # Empirical estimates and prior settings depend on the data and the
+    # config only, so every chain shares one set.
+    if cfg.smethod == "bhm":
+        est = empirical_estimates(data, candidates=candidates)
+    else:
+        tau = None if cfg.tau is None else np.asarray(cfg.tau, dtype=float)
+        working = babf_working_grid(data.pooled_grid, cfg.m, tau)
+        est = empirical_estimates(data, eval_grid=working.tau)
+        eval_grid = None
+        if cfg.eval_grid is not None:
+            eval_grid = np.asarray(cfg.eval_grid, dtype=float)
+        elif args.eval_grid_len is not None:
+            eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
+    hyper = build_hyperparams(
+        est,
+        mat=bool(cfg.mat),
+        w=cfg.w,
+        ws=cfg.ws,
+        delta=cfg.delta,
+        c=cfg.c,
+        nu=cfg.nu,
+        rho=cfg.rho,
+        candidates=candidates,
+    )
+
     primary = None
     sidecar: dict = {}
     for chain in range(cfg.chains):
         rng = RngStream(cfg.seed, stream_id=chain)
         if cfg.smethod == "bhm":
-            est = empirical_estimates(data, candidates=candidates)
-            hyper = build_hyperparams(
-                est,
-                mat=bool(cfg.mat),
-                w=cfg.w,
-                ws=cfg.ws,
-                delta=cfg.delta,
-                c=cfg.c,
-                nu=cfg.nu,
-                rho=cfg.rho,
-                candidates=candidates,
-            )
             draws, result = bhm_run(
                 data,
                 hyper,
@@ -153,31 +166,18 @@ def cmd_smooth(args) -> int:
                 draws.precision, draws.sigma_s2, draws.mu, draws.Sigma
             )
         else:
-            eval_grid = None
-            if cfg.eval_grid is not None:
-                eval_grid = np.asarray(cfg.eval_grid, dtype=float)
-            elif args.eval_grid_len is not None:
-                eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
             draws, result = babf_run(
                 data,
+                hyper,
+                est=est,
                 L=cfg.m,
-                tau=None if cfg.tau is None else np.asarray(cfg.tau, dtype=float),
+                tau=tau,
                 eval_grid=eval_grid,
                 domain=domain,
                 M=cfg.M,
                 burnin=cfg.Burnin,
                 rng=rng,
                 resid_thin=cfg.resid_thin,
-                hyper_kwargs=dict(
-                    mat=bool(cfg.mat),
-                    w=cfg.w,
-                    ws=cfg.ws,
-                    delta=cfg.delta,
-                    c=cfg.c,
-                    nu=cfg.nu,
-                    rho=cfg.rho,
-                    candidates=candidates,
-                ),
             )
             monitored = monitored_scalars(
                 draws.precision, draws.sigma_s2, draws.mu_eval, draws.Sigma_eval

@@ -58,7 +58,8 @@ class FunctionalDataset:
 
     Simulated datasets also carry the generator truth: the mean vector on
     the pooled grid and, when small enough to be worth storing, the
-    covariance on the pooled grid.
+    covariance on the pooled grid.  Every raw and true curve value must be
+    finite; the first non-finite one is reported by curve and position.
     """
 
     curves: list[Curve]
@@ -69,6 +70,18 @@ class FunctionalDataset:
     def __post_init__(self):
         if not self.curves:
             raise ValueError("dataset needs at least one curve")
+        for i, curve in enumerate(self.curves):
+            for label, values in (("raw", curve.raw), ("truth", curve.truth)):
+                if values is None:
+                    continue
+                bad = np.flatnonzero(~np.isfinite(values))
+                if bad.size:
+                    j = int(bad[0])
+                    raise ValueError(
+                        f"curve {i} has a non-finite {label} value ({values[j]}) at "
+                        f"position {j} (t={curve.grid[j]:.6g}); {bad.size} such value(s) "
+                        "in that curve"
+                    )
         union = pooled_union([c.grid for c in self.curves])
         if self.pooled_grid is None:
             self.pooled_grid = union

@@ -91,6 +91,13 @@ class RunConfig:
             raise ValueError(f"chains must be at least 1, got {self.chains}")
         if self.resid_thin < 1:
             raise ValueError(f"resid_thin must be at least 1, got {self.resid_thin}")
+        kept = self.M - self.Burnin
+        if kept < self.resid_thin:
+            raise ValueError(
+                f"--M {self.M} with --Burnin {self.Burnin} keeps {kept} draws, fewer "
+                f"than --resid-thin {self.resid_thin}: no residual draws would be kept "
+                "for the fit p-values"
+            )
         if not 0.0 < self.lamb_min <= self.lamb_max < 1.0:
             raise ValueError("need 0 < lamb_min <= lamb_max < 1")
         if self.lamb_step <= 0.0:
@@ -112,12 +119,20 @@ class RunConfig:
         return cls(**payload)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+            # mkstemp creates 0600; give the file the mode a plain open would.
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

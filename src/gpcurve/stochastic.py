@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "FactorizationError",
@@ -22,11 +23,16 @@ __all__ = [
     "sample_gamma",
     "sample_inverse_wishart",
     "sample_mvn",
+    "sample_mvn_canonical",
 ]
 
 # Ridge schedule, relative to the mean diagonal of the target matrix.
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
+
+# Raw LAPACK Cholesky solve; the scipy wrappers' per-call input checks cost
+# more than the solve itself at the sizes the samplers batch over.
+(_potrs,) = get_lapack_funcs(("potrs",), dtype=np.float64)
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -184,6 +190,28 @@ def sample_mvn(mean: np.ndarray, cov, rng, size: int | None = None) -> np.ndarra
         return mean + cov.chol @ z
     z = gen.standard_normal((size, cov.dim))
     return mean + z @ cov.chol.T
+
+
+def sample_mvn_canonical(prec: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Batched Gaussian draws given in canonical (precision) form.
+
+    For each ``i`` returns ``prec[i]^-1 (b[i] + L_i z[i])`` with
+    ``prec[i] = L_i L_i^T``, which equals the mean ``prec[i]^-1 b[i]`` plus
+    the perturbation ``L_i^-T z[i]``: a draw from N(prec^-1 b, prec^-1) when
+    ``z[i]`` is standard normal (Rue 2001).  One Cholesky per precision,
+    batched, then one Cholesky solve per row.
+
+    Raises :class:`numpy.linalg.LinAlgError` when a precision is not
+    positive definite.
+    """
+    chol = np.linalg.cholesky(prec)
+    rhs = b + np.matmul(chol, z[..., None])[..., 0]
+    for i in range(rhs.shape[0]):
+        # chol[i].T is a Fortran-ordered view of the upper factor L_i^T.
+        rhs[i], info = _potrs(chol[i].T, rhs[i], lower=0, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"Cholesky solve failed for row {i}: LAPACK info {info}")
+    return rhs
 
 
 def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:

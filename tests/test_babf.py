@@ -117,6 +117,22 @@ def test_coeff_step_moments():
         np.testing.assert_allclose(np.cov(draws[:, i].T), cov, atol=0.02)
 
 
+def test_coeff_step_uses_n_times_k_normals():
+    data, hyper, ctx, state = coeff_problem()
+    rng = RngStream(22, stream_id=1)
+    babf_step_coeffs(state, ctx, rng)
+    fresh = RngStream(22, stream_id=1)
+    fresh.generator.standard_normal((ctx.n, ctx.K))
+    assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
+
+
+def test_coeff_step_rejects_a_non_positive_definite_precision():
+    data, hyper, ctx, state = coeff_problem()
+    state.sigma_eps2 = -0.01
+    with pytest.raises(np.linalg.LinAlgError):
+        babf_step_coeffs(state, ctx, RngStream(0))
+
+
 def test_init_round_trips_through_the_basis():
     data, hyper, ctx, state = coeff_problem()
     est = empirical_estimates(data, eval_grid=ctx.tau)

@@ -75,6 +75,22 @@ def tiny_problem(common=True):
     return data, hyper, ctx, state
 
 
+def test_signal_step_uses_n_times_p_normals_on_irregular_grids():
+    data, hyper, ctx, state = tiny_problem(common=False)
+    rng = RngStream(21, stream_id=1)
+    bhm_step_signals(state, ctx, rng)
+    fresh = RngStream(21, stream_id=1)
+    fresh.generator.standard_normal((ctx.n, ctx.p))
+    assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
+
+
+def test_signal_step_rejects_a_non_positive_definite_precision():
+    data, hyper, ctx, state = tiny_problem(common=False)
+    state.sigma_eps2 = -0.01
+    with pytest.raises(np.linalg.LinAlgError):
+        bhm_step_signals(state, ctx, RngStream(0))
+
+
 def test_noise_step_matches_gamma_oracle():
     data, hyper, ctx, state = tiny_problem()
     rss = sum(

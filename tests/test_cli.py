@@ -167,6 +167,30 @@ def test_exit_codes(tmp_path, dataset, capsys):
     assert "out of scope" in err and "comma-separated" in err
 
 
+def test_too_short_run_exits_2_before_writing(tmp_path, dataset, capsys):
+    out = tmp_path / "short.json"
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(out), "--smethod", "bhm",
+        "--M", "15", "--Burnin", "10",
+    )
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "--M 15" in err and "--Burnin 10" in err and "--resid-thin 10" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["x", "truth"])
+def test_non_finite_curve_value_exits_2_naming_the_curve(tmp_path, dataset, capsys, key):
+    payload = json.loads(dataset.read_text())
+    payload["curves"][7][key][3] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = run("smooth", "--data", str(bad), "--out", str(tmp_path / "fit.json"))
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "curve 7" in err and "position 3" in err and "non-finite" in err
+
+
 def test_numeric_failure_exit_code(tmp_path, dataset, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")

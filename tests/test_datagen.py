@@ -129,3 +129,8 @@ def test_curve_and_dataset_validation():
         FunctionalDataset(
             curves=[Curve(grid=grid, raw=np.zeros(2))], pooled_grid=np.array([0.0, 2.0])
         )
+    good = Curve(grid=grid, raw=np.zeros(2), truth=np.zeros(2))
+    with pytest.raises(ValueError, match=r"curve 1 has a non-finite raw value \(nan\) at position 1"):
+        FunctionalDataset(curves=[good, Curve(grid=grid, raw=np.array([0.0, np.nan]))])
+    with pytest.raises(ValueError, match=r"curve 0 has a non-finite truth value \(inf\) at position 0"):
+        FunctionalDataset(curves=[Curve(grid=grid, raw=np.zeros(2), truth=np.array([np.inf, 0.0]))])

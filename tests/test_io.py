@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -146,6 +148,9 @@ def test_run_config_validate():
         RunConfig(lamb_min=0.99, lamb_max=0.9).validate()
     with pytest.raises(ValueError, match="lamb_step"):
         RunConfig(lamb_step=0.0).validate()
+    RunConfig(M=20, Burnin=10, resid_thin=10).validate()
+    with pytest.raises(ValueError, match="--M 15 with --Burnin 10 keeps 5 draws.*--resid-thin 10"):
+        RunConfig(M=15, Burnin=10).validate()
 
 
 def test_run_config_dict_round_trip():
@@ -216,3 +221,21 @@ def test_results_without_sidecar(tmp_path, bhm_result):
     with pytest.raises(ValueError, match="no draws sidecar"):
         load_sidecar_matrix(payload, "anything.bin")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["res.json"]
+
+
+def test_written_files_honour_the_umask(tmp_path, small_data, bhm_result):
+    draws, result = bhm_result
+    sidecar = {"monitored_chain0.bin": {"matrix": np.column_stack([draws.precision])}}
+    previous = os.umask(0o022)
+    try:
+        save_dataset(tmp_path / "d.json", small_data, domain=(0.0, 1.6))
+        save_results(tmp_path / "res.json", result, RunConfig(smethod="bhm"), sidecar=sidecar)
+        assert os.umask(0o022) == 0o022  # writing left the umask as it was
+    finally:
+        os.umask(previous)
+    for path in (
+        tmp_path / "d.json",
+        tmp_path / "res.json",
+        tmp_path / "res.draws" / "monitored_chain0.bin",
+    ):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path

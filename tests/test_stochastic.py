@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 from scipy import stats
 
 from gpcurve.stochastic import (
@@ -11,6 +12,7 @@ from gpcurve.stochastic import (
     sample_gamma,
     sample_inverse_wishart,
     sample_mvn,
+    sample_mvn_canonical,
 )
 
 
@@ -60,6 +62,34 @@ def test_mvn_mean_and_covariance():
 def test_mvn_rejects_mismatched_mean():
     with pytest.raises(ValueError, match="dimension mismatch"):
         sample_mvn(np.zeros(3), np.eye(2), RngStream(0))
+
+
+def spd_stack(n, p, seed):
+    a = np.random.default_rng(seed).standard_normal((n, p, p))
+    return a @ np.transpose(a, (0, 2, 1)) + p * np.eye(p)
+
+
+def test_canonical_draw_matches_the_per_row_closed_form():
+    # With z fixed the draw is deterministic: mean prec^-1 b plus L^-T z.
+    n, p = 6, 9
+    prec = spd_stack(n, p, seed=1)
+    gen = np.random.default_rng(2)
+    b = gen.standard_normal((n, p))
+    z = gen.standard_normal((n, p))
+    draw = sample_mvn_canonical(prec, b, z)
+    for i in range(n):
+        chol = np.linalg.cholesky(prec[i])
+        want = np.linalg.solve(prec[i], b[i]) + sla.solve_triangular(
+            chol, z[i], trans="T", lower=True
+        )
+        np.testing.assert_allclose(draw[i], want, rtol=1e-10)
+
+
+def test_canonical_draw_rejects_a_non_positive_definite_precision():
+    prec = spd_stack(4, 5, seed=4)
+    prec[2, 3, 3] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sample_mvn_canonical(prec, np.zeros((4, 5)), np.zeros((4, 5)))
 
 
 def test_inverse_wishart_mean_is_dimension_free():
