@@ -3,10 +3,10 @@
 Identical model to the full-grid sampler, but the signals are restricted
 to a cubic spline space: working on the K coefficient values instead of p
 grid values drops the sweep cost from O(n p^3) to O(n K^3), which is what
-makes dense or random grids tractable.  Grid-space quantities are
-reconstructed from each retained draw through the basis, so posterior
-summaries on any evaluation grid are exact functions of the
-coefficient-space draws.
+makes dense or random grids tractable.  Only coefficient-space draws are
+retained; grid-space summaries on any evaluation grid are derived from
+them through the basis, so retained memory does not depend on the
+evaluation or observation grids.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.gridutil import check_grid
-from gpcurve.results import SmoothResult, credible_band, scalar_summary
+from gpcurve.results import Draws, SmoothResult, credible_band, scalar_summary, summarize_draws
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
@@ -38,7 +38,6 @@ from gpcurve.stochastic import (
 )
 
 __all__ = [
-    "BabfDraws",
     "BabfState",
     "babf_init",
     "babf_run",
@@ -213,25 +212,6 @@ def babf_step_scale(state: BabfState, ctx: BabfContext, rng: RngStream) -> float
     return float(sample_gamma(shape, rate, rng))
 
 
-@dataclass
-class BabfDraws:
-    """Retained draws in coefficient space plus their grid reconstructions."""
-
-    zeta: np.ndarray
-    mu_zeta: np.ndarray
-    Sigma_zeta: np.ndarray
-    precision: np.ndarray
-    sigma_s2: np.ndarray
-    Zt: list[np.ndarray]
-    Z_eval: np.ndarray
-    mu_eval: np.ndarray
-    Sigma_eval: np.ndarray
-    resid: list[np.ndarray]
-    M: int
-    burnin: int
-    resid_thin: int
-
-
 def babf_run(
     data: FunctionalDataset,
     hyper: HyperParams | None = None,
@@ -245,7 +225,7 @@ def babf_run(
     rng: RngStream | None = None,
     resid_thin: int = 10,
     hyper_kwargs: dict | None = None,
-) -> tuple[BabfDraws, SmoothResult]:
+) -> tuple[Draws, SmoothResult]:
     """Run the coefficient-space Gibbs sampler and summarize.
 
     The working grid defaults to L percentile sites of the pooled grid
@@ -257,10 +237,6 @@ def babf_run(
     context, initial state, sweeps and summaries, not the empirical
     estimates or the prior settings.
     """
-    if burnin < 0 or M <= burnin:
-        raise ValueError(f"need M > burnin >= 0, got M={M}, burnin={burnin}")
-    if resid_thin < 1:
-        raise ValueError(f"resid_thin must be at least 1, got {resid_thin}")
     if rng is None:
         rng = RngStream(0)
 
@@ -278,80 +254,33 @@ def babf_run(
     eval_grid = pooled if eval_grid is None else check_grid(eval_grid, "eval_grid")
     ctx = build_babf_context(data, hyper, basis, working.tau, eval_grid)
     state = babf_init(ctx, est)
-    n, K, E = ctx.n, ctx.K, eval_grid.size
-
-    ndraws = M - burnin
-    n_resid = ndraws // resid_thin
-    draws = BabfDraws(
-        zeta=np.empty((ndraws, n, K)),
-        mu_zeta=np.empty((ndraws, K)),
-        Sigma_zeta=np.empty((ndraws, K, K)),
-        precision=np.empty(ndraws),
-        sigma_s2=np.empty(ndraws),
-        Zt=[np.empty((ndraws, c.grid.size)) for c in data.curves],
-        Z_eval=np.empty((ndraws, n, E)),
-        mu_eval=np.empty((ndraws, E)),
-        Sigma_eval=np.empty((ndraws, E, E)),
-        resid=[np.empty((n_resid, c.grid.size)) for c in data.curves],
-        M=M,
-        burnin=burnin,
-        resid_thin=resid_thin,
+    draws = Draws.allocate(
+        ctx.n, ctx.K, [c.grid.size for c in data.curves], M, burnin, resid_thin, basis=ctx.b_eval
     )
+
+    def resid():
+        sd = np.sqrt(state.sigma_eps2)
+        return [
+            (curve.raw - b @ zeta_i) / sd
+            for curve, b, zeta_i in zip(data.curves, ctx.bt, state.zeta)
+        ]
 
     for it in range(M):
         state.zeta = babf_step_coeffs(state, ctx, rng)
         state.mu_zeta, state.Sigma_zeta = babf_step_meancov(state, ctx, rng)
         state.sigma_eps2, precision = babf_step_noise(state, ctx, rng)
         state.sigma_s2 = babf_step_scale(state, ctx, rng)
-
-        k = it - burnin
-        if k < 0:
-            continue
-        draws.zeta[k] = state.zeta
-        draws.mu_zeta[k] = state.mu_zeta
-        draws.Sigma_zeta[k] = state.Sigma_zeta.mat
-        draws.precision[k] = precision
-        draws.sigma_s2[k] = state.sigma_s2
-        # Reconstruction: grid-space draws are linear images of the
-        # coefficient-space draws through the basis.
-        draws.Z_eval[k] = state.zeta @ ctx.b_eval.T
-        draws.mu_eval[k] = ctx.b_eval @ state.mu_zeta
-        draws.Sigma_eval[k] = ctx.b_eval @ state.Sigma_zeta.mat @ ctx.b_eval.T
-        record_resid = (k + 1) % resid_thin == 0 and (k + 1) // resid_thin - 1 < n_resid
-        sd = np.sqrt(state.sigma_eps2)
-        for i, curve in enumerate(data.curves):
-            zt = ctx.bt[i] @ state.zeta[i]
-            draws.Zt[i][k] = zt
-            if record_resid:
-                draws.resid[i][(k + 1) // resid_thin - 1] = (curve.raw - zt) / sd
+        draws.record(
+            it, state.zeta, state.mu_zeta, state.Sigma_zeta.mat, precision, state.sigma_s2, resid
+        )
 
     result = _summarize(draws, ctx, started)
     return draws, result
 
 
-def _summarize(draws: BabfDraws, ctx: BabfContext, started: float) -> SmoothResult:
-    z_mean = draws.Z_eval.mean(axis=0)
-    z_cl, z_ul = credible_band(draws.Z_eval)
-    mu_mean = draws.mu_eval.mean(axis=0)
-    mu_ci = np.stack(credible_band(draws.mu_eval))
-    sigma_mean = draws.Sigma_eval.mean(axis=0)
-    sigma_cl, sigma_ul = credible_band(draws.Sigma_eval)
-    dev = z_mean - z_mean.mean(axis=0)
-    sigma_se = dev.T @ dev / max(ctx.n - 1, 1)
-
-    zeta_mean = draws.zeta.mean(axis=0)
-    zeta_cl, zeta_ul = credible_band(draws.zeta)
-    zeta_dev = zeta_mean - zeta_mean.mean(axis=0)
-    sigma_zeta_mean = draws.Sigma_zeta.mean(axis=0)
-    mu_zeta_mean = draws.mu_zeta.mean(axis=0)
-
-    zt_mean, zt_cl, zt_ul = [], [], []
-    for zt in draws.Zt:
-        zt_mean.append(zt.mean(axis=0))
-        lo, hi = credible_band(zt)
-        zt_cl.append(lo)
-        zt_ul.append(hi)
-
+def _summarize(draws: Draws, ctx: BabfContext, started: float) -> SmoothResult:
+    coef = summarize_draws(draws)
+    zt_bands = [credible_band(draws.coef[:, i : i + 1], right=b) for i, b in enumerate(ctx.bt)]
     rn, rn_ci = scalar_summary(draws.precision)
     rs, rs_ci = scalar_summary(draws.sigma_s2)
     params = ctx.hyper.A.params
@@ -359,15 +288,7 @@ def _summarize(draws: BabfDraws, ctx: BabfContext, started: float) -> SmoothResu
     return SmoothResult(
         method="babf",
         grid=ctx.eval_grid,
-        Z=z_mean,
-        Z_CL=z_cl,
-        Z_UL=z_ul,
-        mu=mu_mean,
-        mu_CI=mu_ci,
-        Sigma=sigma_mean,
-        Sigma_CL=sigma_cl,
-        Sigma_UL=sigma_ul,
-        Sigma_SE=sigma_se,
+        **summarize_draws(draws, ctx.b_eval),
         rn=rn,
         rn_CI=rn_ci,
         rs=rs,
@@ -377,20 +298,20 @@ def _summarize(draws: BabfDraws, ctx: BabfContext, started: float) -> SmoothResu
         pmin_vec=pmin,
         runtime_seconds=time.perf_counter() - started,
         tau=ctx.tau,
-        Zt=zt_mean,
-        Zt_CL=zt_cl,
-        Zt_UL=zt_ul,
-        Zeta=zeta_mean,
-        Zeta_CL=zeta_cl,
-        Zeta_UL=zeta_ul,
-        Sigma_zeta=sigma_zeta_mean,
-        Sigma_zeta_CL=credible_band(draws.Sigma_zeta)[0],
-        Sigma_zeta_UL=credible_band(draws.Sigma_zeta)[1],
-        Sigma_zeta_SE=zeta_dev.T @ zeta_dev / max(ctx.n - 1, 1),
-        mu_zeta=mu_zeta_mean,
-        mu_zeta_CI=np.stack(credible_band(draws.mu_zeta)),
-        Sigma_tau=ctx.btau @ sigma_zeta_mean @ ctx.btau.T,
-        mu_tau=ctx.btau @ mu_zeta_mean,
+        Zt=[b @ z for b, z in zip(ctx.bt, coef["Z"])],
+        Zt_CL=[lo[0] for lo, _ in zt_bands],
+        Zt_UL=[hi[0] for _, hi in zt_bands],
+        Zeta=coef["Z"],
+        Zeta_CL=coef["Z_CL"],
+        Zeta_UL=coef["Z_UL"],
+        Sigma_zeta=coef["Sigma"],
+        Sigma_zeta_CL=coef["Sigma_CL"],
+        Sigma_zeta_UL=coef["Sigma_UL"],
+        Sigma_zeta_SE=coef["Sigma_SE"],
+        mu_zeta=coef["mu"],
+        mu_zeta_CI=coef["mu_CI"],
+        Sigma_tau=ctx.btau @ coef["Sigma"] @ ctx.btau.T,
+        mu_tau=ctx.btau @ coef["mu"],
         Btau=ctx.btau,
         BT=ctx.bt,
         knots=ctx.basis.knots,

@@ -20,7 +20,7 @@ from scipy import linalg as sla
 from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, empirical_estimates
-from gpcurve.results import SmoothResult, credible_band, scalar_summary
+from gpcurve.results import Draws, SmoothResult, scalar_summary, summarize_draws
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
@@ -30,7 +30,6 @@ from gpcurve.stochastic import (
 )
 
 __all__ = [
-    "BhmDraws",
     "BhmState",
     "SelectionMap",
     "bhm_init",
@@ -224,21 +223,6 @@ def bhm_step_scale(state: BhmState, ctx: BhmContext, rng: RngStream) -> float:
     return float(sample_gamma(shape, rate, rng))
 
 
-@dataclass
-class BhmDraws:
-    """Retained post-burn-in draws, plus thinned standardized residuals."""
-
-    Z: np.ndarray
-    mu: np.ndarray
-    Sigma: np.ndarray
-    precision: np.ndarray
-    sigma_s2: np.ndarray
-    resid: list[np.ndarray]
-    M: int
-    burnin: int
-    resid_thin: int
-
-
 def bhm_run(
     data: FunctionalDataset,
     hyper: HyperParams,
@@ -247,12 +231,13 @@ def bhm_run(
     burnin: int = 2000,
     rng: RngStream | None = None,
     resid_thin: int = 10,
-) -> tuple[BhmDraws, SmoothResult]:
-    """Run the five-step Gibbs sampler and summarize the retained draws."""
-    if burnin < 0 or M <= burnin:
-        raise ValueError(f"need M > burnin >= 0, got M={M}, burnin={burnin}")
-    if resid_thin < 1:
-        raise ValueError(f"resid_thin must be at least 1, got {resid_thin}")
+) -> tuple[Draws, SmoothResult]:
+    """Run the five-step Gibbs sampler and summarize the retained draws.
+
+    The draws' coefficients are the pooled-grid signal values (no basis).
+    """
+    n, p = data.n_curves, data.pooled_grid.size
+    draws = Draws.allocate(n, p, [c.grid.size for c in data.curves], M, burnin, resid_thin)
     if rng is None:
         rng = RngStream(0)
     if est is None:
@@ -260,21 +245,13 @@ def bhm_run(
     started = time.perf_counter()
     ctx = build_context(data, hyper)
     state = bhm_init(data, hyper, est)
-    n, p = ctx.n, ctx.p
 
-    ndraws = M - burnin
-    n_resid = ndraws // resid_thin
-    draws = BhmDraws(
-        Z=np.empty((ndraws, n, p)),
-        mu=np.empty((ndraws, p)),
-        Sigma=np.empty((ndraws, p, p)),
-        precision=np.empty(ndraws),
-        sigma_s2=np.empty(ndraws),
-        resid=[np.empty((n_resid, idx.size)) for idx in ctx.smap.indices],
-        M=M,
-        burnin=burnin,
-        resid_thin=resid_thin,
-    )
+    def resid():
+        sd = np.sqrt(state.sigma_eps2)
+        return [
+            (curve.raw - z[idx]) / sd
+            for curve, z, idx in zip(data.curves, state.Z, ctx.smap.indices)
+        ]
 
     for it in range(M):
         state.Z = bhm_step_signals(state, ctx, rng)
@@ -282,36 +259,13 @@ def bhm_run(
         state.mu = bhm_step_mean(state, ctx, rng)
         state.Sigma = bhm_step_cov(state, ctx, rng)
         state.sigma_s2 = bhm_step_scale(state, ctx, rng)
-
-        k = it - burnin
-        if k < 0:
-            continue
-        draws.Z[k] = state.Z
-        draws.mu[k] = state.mu
-        draws.Sigma[k] = state.Sigma.mat
-        draws.precision[k] = precision
-        draws.sigma_s2[k] = state.sigma_s2
-        if (k + 1) % resid_thin == 0:
-            slot = (k + 1) // resid_thin - 1
-            if slot < n_resid:
-                sd = np.sqrt(state.sigma_eps2)
-                for i, curve in enumerate(data.curves):
-                    obs = state.Z[i, ctx.smap.indices[i]]
-                    draws.resid[i][slot] = (curve.raw - obs) / sd
+        draws.record(it, state.Z, state.mu, state.Sigma.mat, precision, state.sigma_s2, resid)
 
     result = _summarize(draws, ctx, started)
     return draws, result
 
 
-def _summarize(draws: BhmDraws, ctx: BhmContext, started: float) -> SmoothResult:
-    z_mean = draws.Z.mean(axis=0)
-    z_cl, z_ul = credible_band(draws.Z)
-    mu_mean = draws.mu.mean(axis=0)
-    mu_ci = np.stack(credible_band(draws.mu))
-    sigma_mean = draws.Sigma.mean(axis=0)
-    sigma_cl, sigma_ul = credible_band(draws.Sigma)
-    dev = z_mean - z_mean.mean(axis=0)
-    sigma_se = dev.T @ dev / max(ctx.n - 1, 1)
+def _summarize(draws: Draws, ctx: BhmContext, started: float) -> SmoothResult:
     rn, rn_ci = scalar_summary(draws.precision)
     rs, rs_ci = scalar_summary(draws.sigma_s2)
     params = ctx.hyper.A.params
@@ -319,15 +273,7 @@ def _summarize(draws: BhmDraws, ctx: BhmContext, started: float) -> SmoothResult
     return SmoothResult(
         method="bhm",
         grid=ctx.data.pooled_grid,
-        Z=z_mean,
-        Z_CL=z_cl,
-        Z_UL=z_ul,
-        mu=mu_mean,
-        mu_CI=mu_ci,
-        Sigma=sigma_mean,
-        Sigma_CL=sigma_cl,
-        Sigma_UL=sigma_ul,
-        Sigma_SE=sigma_se,
+        **summarize_draws(draws),
         rn=rn,
         rn_CI=rn_ci,
         rs=rs,

@@ -124,18 +124,21 @@ def cmd_smooth(args) -> int:
     candidates = cfg.lambda_candidates()
 
     # Empirical estimates and prior settings depend on the data and the
-    # config only, so every chain shares one set.
+    # config only, so every chain shares one set.  bhm builds them on the
+    # pooled grid, babf on its working grid.
     if cfg.smethod == "bhm":
-        est = empirical_estimates(data, candidates=candidates)
+        run, est_grid, run_kwargs = bhm_run, None, {}
     else:
         tau = None if cfg.tau is None else np.asarray(cfg.tau, dtype=float)
-        working = babf_working_grid(data.pooled_grid, cfg.m, tau)
-        est = empirical_estimates(data, eval_grid=working.tau)
+        est_grid = babf_working_grid(data.pooled_grid, cfg.m, tau).tau
         eval_grid = None
         if cfg.eval_grid is not None:
             eval_grid = np.asarray(cfg.eval_grid, dtype=float)
         elif args.eval_grid_len is not None:
             eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
+        run = babf_run
+        run_kwargs = dict(L=cfg.m, tau=tau, eval_grid=eval_grid, domain=domain)
+    est = empirical_estimates(data, candidates=candidates, eval_grid=est_grid)
     hyper = build_hyperparams(
         est,
         mat=bool(cfg.mat),
@@ -151,39 +154,22 @@ def cmd_smooth(args) -> int:
     primary = None
     sidecar: dict = {}
     for chain in range(cfg.chains):
-        rng = RngStream(cfg.seed, stream_id=chain)
-        if cfg.smethod == "bhm":
-            draws, result = bhm_run(
-                data,
-                hyper,
-                est=est,
-                M=cfg.M,
-                burnin=cfg.Burnin,
-                rng=rng,
-                resid_thin=cfg.resid_thin,
-            )
-            monitored = monitored_scalars(
-                draws.precision, draws.sigma_s2, draws.mu, draws.Sigma
-            )
-        else:
-            draws, result = babf_run(
-                data,
-                hyper,
-                est=est,
-                L=cfg.m,
-                tau=tau,
-                eval_grid=eval_grid,
-                domain=domain,
-                M=cfg.M,
-                burnin=cfg.Burnin,
-                rng=rng,
-                resid_thin=cfg.resid_thin,
-            )
-            monitored = monitored_scalars(
-                draws.precision, draws.sigma_s2, draws.mu_eval, draws.Sigma_eval
-            )
+        draws, result = run(
+            data,
+            hyper,
+            est=est,
+            M=cfg.M,
+            burnin=cfg.Burnin,
+            rng=RngStream(cfg.seed, stream_id=chain),
+            resid_thin=cfg.resid_thin,
+            **run_kwargs,
+        )
         if not args.no_draws:
-            names, mat = _monitored_matrix(monitored)
+            names, mat = _monitored_matrix(
+                monitored_scalars(
+                    draws.precision, draws.sigma_s2, draws.grid_mu(), draws.grid_sigma_diag()
+                )
+            )
             sidecar[f"monitored_chain{chain}.bin"] = {"matrix": mat, "names": names}
             if chain == 0:
                 resid = np.concatenate(draws.resid, axis=1)
@@ -193,6 +179,8 @@ def cmd_smooth(args) -> int:
                 }
         if chain == 0:
             primary = result
+        # Drop this chain's draws before the next chain allocates its own.
+        del draws, result
 
     save_results(args.out, primary, cfg, sidecar or None)
     pmin = float(np.min(primary.pmin_vec))

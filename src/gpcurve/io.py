@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gpcurve.css import default_lambda_grid
 from gpcurve.datagen import Curve, FunctionalDataset
 from gpcurve.results import SmoothResult
 from gpcurve.stochastic import SpdMatrix
@@ -104,8 +105,7 @@ class RunConfig:
             raise ValueError("lamb_step must be positive")
 
     def lambda_candidates(self) -> np.ndarray:
-        count = int(round((self.lamb_max - self.lamb_min) / self.lamb_step)) + 1
-        return np.round(np.linspace(self.lamb_min, self.lamb_max, count), 12)
+        return default_lambda_grid(self.lamb_min, self.lamb_max, self.lamb_step)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -338,10 +338,10 @@ def test_criterion_07_exact_basis_equivalence():
         rng=RngStream(32),
         hyper_kwargs=dict(mat=True, ws=1.0),
     )
-    diff = babf_draws.mu_eval.mean(axis=0) - bhm_draws.mu.mean(axis=0)
+    diff = babf_draws.grid_mu().mean(axis=0) - bhm_draws.grid_mu().mean(axis=0)
     se = np.sqrt(
-        harness.batch_means_se(babf_draws.mu_eval) ** 2
-        + harness.batch_means_se(bhm_draws.mu) ** 2
+        harness.batch_means_se(babf_draws.grid_mu()) ** 2
+        + harness.batch_means_se(bhm_draws.grid_mu()) ** 2
     )
     worst = float(np.max(np.abs(diff) / se))
     assert record(
@@ -391,7 +391,11 @@ def test_criterion_09_two_chain_convergence():
             burnin=harness.BURNIN,
             rng=RngStream(99, stream_id=chain_id),
         )
-        chains.append(monitored_scalars(draws.precision, draws.sigma_s2, draws.mu, draws.Sigma))
+        chains.append(
+            monitored_scalars(
+                draws.precision, draws.sigma_s2, draws.grid_mu(), draws.grid_sigma_diag()
+            )
+        )
     values = {
         name: psrf(np.stack([chains[0][name], chains[1][name]])) for name in chains[0]
     }

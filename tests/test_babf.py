@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,27 +161,86 @@ def test_run_shapes_determinism_and_reconstruction():
     draws_b, res_b = babf_run(
         data, L=6, domain=DOMAIN, M=50, burnin=20, rng=RngStream(3), hyper_kwargs={"ws": 1.0}
     )
-    np.testing.assert_array_equal(draws_a.zeta, draws_b.zeta)
-    assert draws_a.zeta.shape == (30, 5, 6)
-    assert draws_a.Z_eval.shape == (30, 5, data.pooled_grid.size)
-    assert len(draws_a.Zt) == 5
-    assert draws_a.Zt[2].shape == (30, 15)
+    np.testing.assert_array_equal(draws_a.coef, draws_b.coef)
+    assert draws_a.coef.shape == (30, 5, 6)
+    assert draws_a.basis.shape == (data.pooled_grid.size, 6)
     assert res_a.method == "babf"
     assert res_a.tau.size == 6
     assert res_a.knots.size == 6 + 4
     assert len(res_a.BT) == 5
 
-    # Every grid-space draw is the basis image of the coefficient draw.
-    np.testing.assert_allclose(
-        draws_a.Z_eval[7], draws_a.zeta[7] @ eval_matrix(res_a, data), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        draws_a.Zt[1][4], res_a.BT[1] @ draws_a.zeta[4, 1], atol=1e-12
-    )
+    # Every grid-space summary is the summary of the basis images of the
+    # coefficient draws.
+    b_eval = eval_matrix(res_a, data).T
+    np.testing.assert_allclose(draws_a.basis, b_eval, atol=1e-14)
+    z = draws_a.coef @ b_eval.T
+    mu = draws_a.mu @ b_eval.T
+    sigma = b_eval @ draws_a.Sigma @ b_eval.T
+    probs = (0.025, 0.975)
+    np.testing.assert_allclose(res_a.Z, z.mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res_a.mu, mu.mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res_a.Sigma, sigma.mean(axis=0), rtol=0, atol=1e-12)
+    for got, want in (
+        ((res_a.Z_CL, res_a.Z_UL), np.quantile(z, probs, axis=0)),
+        (res_a.mu_CI, np.quantile(mu, probs, axis=0)),
+        ((res_a.Sigma_CL, res_a.Sigma_UL), np.quantile(sigma, probs, axis=0)),
+    ):
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    for i, b in enumerate(res_a.BT):
+        zt = draws_a.coef[:, i] @ b.T
+        np.testing.assert_allclose(res_a.Zt[i], zt.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            res_a.Zt_CL[i], np.quantile(zt, 0.025, axis=0), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            res_a.Zt_UL[i], np.quantile(zt, 0.975, axis=0), rtol=0, atol=1e-12
+        )
     np.testing.assert_allclose(
         res_a.Sigma_tau, res_a.Btau @ res_a.Sigma_zeta @ res_a.Btau.T, atol=1e-10
     )
     np.testing.assert_allclose(res_a.mu_tau, res_a.Btau @ res_a.mu_zeta, atol=1e-10)
+
+
+def _draw_arrays(draws):
+    """(field name, array) for every array the draws container keeps."""
+    for f in dataclasses.fields(draws):
+        value = getattr(draws, f.name)
+        for a in value if isinstance(value, list) else [value]:
+            if isinstance(a, np.ndarray):
+                yield f.name, a
+
+
+def test_retained_draws_do_not_grow_with_the_evaluation_grid():
+    data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
+    kept = {}
+    for E in (10, 400):
+        draws, res = babf_run(
+            data,
+            L=6,
+            eval_grid=np.linspace(*DOMAIN, E),
+            domain=DOMAIN,
+            M=50,
+            burnin=20,
+            rng=RngStream(3),
+            hyper_kwargs={"ws": 1.0},
+        )
+        assert res.Sigma_CL.shape == (E, E)
+        kept[E] = sum(a.nbytes for _, a in _draw_arrays(draws))
+    assert kept[400] - kept[10] == (400 - 10) * 6 * 8
+
+
+def test_default_pooled_eval_grid_keeps_only_the_basis_on_its_axis():
+    data = sim_gfd_rgrid(SimConfig(n=30, p=40, seed=2))
+    E = data.pooled_grid.size
+    assert E == 1200
+    draws, res = babf_run(
+        data, L=20, M=200, burnin=100, rng=RngStream(1), hyper_kwargs={"ws": 1.0}
+    )
+    assert res.Z.shape == (30, E)
+    with_e_axis = {name for name, a in _draw_arrays(draws) if E in a.shape}
+    assert with_e_axis == {"basis"}
+    assert draws.basis.shape == (E, 20)
 
 
 def eval_matrix(result, data):

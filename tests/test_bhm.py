@@ -235,9 +235,9 @@ def test_run_shapes_determinism_and_validation():
     hyper = _hyper_for(data)
     draws_a, res_a = bhm_run(data, hyper, M=60, burnin=20, rng=RngStream(4))
     draws_b, res_b = bhm_run(data, hyper, M=60, burnin=20, rng=RngStream(4))
-    np.testing.assert_array_equal(draws_a.Z, draws_b.Z)
+    np.testing.assert_array_equal(draws_a.coef, draws_b.coef)
     np.testing.assert_array_equal(draws_a.Sigma, draws_b.Sigma)
-    assert draws_a.Z.shape == (40, 6, 10)
+    assert draws_a.coef.shape == (40, 6, 10)
     assert draws_a.mu.shape == (40, 10)
     assert len(draws_a.resid) == 6
     assert draws_a.resid[0].shape == (4, 10)
@@ -250,12 +250,37 @@ def test_run_shapes_determinism_and_validation():
     np.testing.assert_allclose(res_a.Sigma, res_a.Sigma.T, atol=1e-10)
 
     single, _ = bhm_run(data, hyper, M=21, burnin=20, rng=RngStream(0), resid_thin=1)
-    assert single.Z.shape == (1, 6, 10)
+    assert single.coef.shape == (1, 6, 10)
     assert single.resid[0].shape == (1, 10)
     with pytest.raises(ValueError, match="M > burnin"):
         bhm_run(data, hyper, M=10, burnin=10)
     with pytest.raises(ValueError, match="resid_thin"):
         bhm_run(data, hyper, M=30, burnin=10, resid_thin=0)
+
+
+def test_summaries_equal_whole_array_reductions_bit_for_bit(monkeypatch):
+    from gpcurve import results
+
+    data = sim_gfd(SimConfig(n=5, p=11, seed=9, cgrid=False))
+    hyper = _hyper_for(data)
+    ndraws = 40
+    # Blocks of 7 cells: 11 pooled points and 11 x 11 covariance entries
+    # split into uneven blocks.
+    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 7)
+    draws, res = bhm_run(data, hyper, M=ndraws + 20, burnin=20, rng=RngStream(5))
+    probs = (0.025, 0.975)
+    for got, arr in (
+        ((res.Z, res.Z_CL, res.Z_UL), draws.coef),
+        ((res.mu, *res.mu_CI), draws.mu),
+        ((res.Sigma, res.Sigma_CL, res.Sigma_UL), draws.Sigma),
+    ):
+        np.testing.assert_array_equal(got[0], arr.mean(axis=0))
+        lo, hi = np.quantile(arr, probs, axis=0)
+        np.testing.assert_array_equal(got[1], lo)
+        np.testing.assert_array_equal(got[2], hi)
+    diag = np.arange(data.pooled_grid.size)
+    np.testing.assert_array_equal(draws.grid_mu(), draws.mu)
+    np.testing.assert_array_equal(draws.grid_sigma_diag(), draws.Sigma[:, diag, diag])
 
 
 def test_posterior_mean_beats_raw_data():

@@ -202,3 +202,25 @@ def test_numeric_failure_exit_code(tmp_path, dataset, monkeypatch, capsys):
     )
     assert rc == cli.EXIT_NUMERIC
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_babf_smooth_passes_lambda_flags_to_the_estimates(tmp_path, dataset, monkeypatch):
+    calls = []
+    estimates = cli.empirical_estimates
+
+    def spy(data, candidates=None, eval_grid=None):
+        calls.append((candidates, eval_grid))
+        return estimates(data, candidates=candidates, eval_grid=eval_grid)
+
+    monkeypatch.setattr(cli, "empirical_estimates", spy)
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(tmp_path / "babf.json"),
+        "--smethod", "babf", "--M", "30", "--Burnin", "10", "--m", "6",
+        "--eval-grid-len", "15", "--ws", "1.0", "--no-draws",
+        "--lamb-min", "0.95", "--lamb-max", "0.95",
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    candidates, eval_grid = calls[0]
+    np.testing.assert_array_equal(candidates, [0.95])
+    assert eval_grid.size == 6
