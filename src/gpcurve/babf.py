@@ -75,6 +75,8 @@ class BabfContext:
     btau: np.ndarray
     btau_inv: np.ndarray
     bt: list[np.ndarray]
+    b_pad: np.ndarray
+    x_pad: np.ndarray
     btb: np.ndarray
     btx: np.ndarray
     b_eval: np.ndarray
@@ -112,6 +114,15 @@ def build_babf_context(
     btau, btau_inv = coeff_transform(basis, tau)
     K = btau.shape[1]
     bt = [eval_basis(basis, c.grid) for c in data.curves]
+    # Every curve's basis rows and observations, zero-padded to the longest
+    # curve, so residuals of all curves are one batched product; padded rows
+    # contribute exact zeros.
+    sizes = [c.grid.size for c in data.curves]
+    b_pad = np.zeros((len(bt), max(sizes), K))
+    x_pad = np.zeros((len(bt), max(sizes)))
+    for i, (b, c) in enumerate(zip(bt, data.curves)):
+        b_pad[i, : sizes[i]] = b
+        x_pad[i, : sizes[i]] = c.raw
     btb = np.stack([b.T @ b for b in bt])
     btx = np.stack([b.T @ c.raw for b, c in zip(bt, data.curves)])
     a_tau = hyper.A.evaluate(tau).mat
@@ -126,10 +137,12 @@ def build_babf_context(
         btau=btau,
         btau_inv=btau_inv,
         bt=bt,
+        b_pad=b_pad,
+        x_pad=x_pad,
         btb=btb,
         btx=btx,
         b_eval=eval_basis(basis, eval_grid),
-        n_obs=sum(c.grid.size for c in data.curves),
+        n_obs=sum(sizes),
         prior_base=prior_base,
         mu0_zeta=btau_inv @ hyper.mu0,
     )
@@ -190,12 +203,22 @@ def babf_step_meancov(
     return mu_zeta, sigma_zeta
 
 
+def _residuals(ctx: BabfContext, zeta: np.ndarray) -> np.ndarray:
+    """Every curve's residuals x_i - B_i zeta_i, zero-padded to (n, m_max)."""
+    return ctx.x_pad - np.matmul(ctx.b_pad, zeta[:, :, None])[:, :, 0]
+
+
 def babf_step_noise(state: BabfState, ctx: BabfContext, rng: RngStream) -> tuple[float, float]:
-    """Draw the noise precision from the spline-space residuals."""
-    rss = 0.0
-    for b, curve, zeta_i in zip(ctx.bt, ctx.data.curves, state.zeta):
-        r = curve.raw - b @ zeta_i
-        rss += float(r @ r)
+    """Draw the noise precision from the spline-space residuals.
+
+    The residuals of all curves are one batched product over the zero-padded
+    bases and observations (:func:`_residuals`), so curves of any sizes cost
+    one call, not one per curve.  Each curve's sum of squares is a dot
+    product, and these are added in curve order, as a loop over the curves
+    would add them.
+    """
+    r = _residuals(ctx, state.zeta)
+    rss = float(np.cumsum(np.matmul(r[:, None, :], r[:, :, None]))[-1])
     shape = ctx.hyper.a_eps + ctx.n_obs / 2.0
     rate = ctx.hyper.b_eps + rss / 2.0
     precision = float(sample_gamma(shape, rate, rng))
@@ -225,7 +248,8 @@ def babf_run(
     rng: RngStream | None = None,
     resid_thin: int = 10,
     hyper_kwargs: dict | None = None,
-) -> tuple[Draws, SmoothResult]:
+    summarize: bool = True,
+) -> tuple[Draws, SmoothResult | None]:
     """Run the coefficient-space Gibbs sampler and summarize.
 
     The working grid defaults to L percentile sites of the pooled grid
@@ -235,7 +259,9 @@ def babf_run(
     from them (``hyper_kwargs`` forwards to the prior constructor).
     ``runtime_seconds`` covers the sampler alone, as in ``bhm_run``:
     context, initial state, sweeps and summaries, not the empirical
-    estimates or the prior settings.
+    estimates or the prior settings.  With ``summarize=False`` the posterior
+    summaries and fit p-values are skipped and the result is ``None``; the
+    draws are the same either way.
     """
     if rng is None:
         rng = RngStream(0)
@@ -259,11 +285,8 @@ def babf_run(
     )
 
     def resid():
-        sd = np.sqrt(state.sigma_eps2)
-        return [
-            (curve.raw - b @ zeta_i) / sd
-            for curve, b, zeta_i in zip(data.curves, ctx.bt, state.zeta)
-        ]
+        r = _residuals(ctx, state.zeta) / np.sqrt(state.sigma_eps2)
+        return [r_i[: c.grid.size] for r_i, c in zip(r, data.curves)]
 
     for it in range(M):
         state.zeta = babf_step_coeffs(state, ctx, rng)
@@ -274,8 +297,7 @@ def babf_run(
             it, state.zeta, state.mu_zeta, state.Sigma_zeta.mat, precision, state.sigma_s2, resid
         )
 
-    result = _summarize(draws, ctx, started)
-    return draws, result
+    return draws, _summarize(draws, ctx, started) if summarize else None
 
 
 def _summarize(draws: Draws, ctx: BabfContext, started: float) -> SmoothResult:

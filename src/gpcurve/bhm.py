@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues
@@ -24,9 +23,12 @@ from gpcurve.results import Draws, SmoothResult, scalar_summary, summarize_draws
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
+    cho_factor_lower,
+    cho_solve_lower,
     sample_gamma,
     sample_inverse_wishart,
     sample_mvn_canonical,
+    solve_triangular,
 )
 
 __all__ = [
@@ -154,9 +156,10 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
 
     Precision is Sigma^-1 plus the observation indicator scaled by the
     noise precision; the draw is mean + L^-T z with L the precision factor.
-    On a common grid all curves share one precision and one factorization.
-    Otherwise each curve's precision is factored once and the draw is taken
-    as prec^-1 (b + L z), one Cholesky solve per curve
+    On a common grid all curves share one precision and one factorization,
+    taken with raw LAPACK calls.  Otherwise each curve's precision is
+    factored once and the draw is taken as prec^-1 (b + L z), one Cholesky
+    solve per curve
     (:func:`~gpcurve.stochastic.sample_mvn_canonical`).  Either way the step
     uses n * p standard normals.
     """
@@ -167,10 +170,10 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
 
     if ctx.common:
         prec = sig_inv + np.eye(p) / state.sigma_eps2
-        chol = sla.cholesky(prec, lower=True)
-        means = sla.cho_solve((chol, True), b.T).T
+        chol = cho_factor_lower(prec)
+        means = cho_solve_lower(chol, b.T).T
         z = gen.standard_normal((p, n))
-        return means + sla.solve_triangular(chol, z, trans="T", lower=True).T
+        return means + solve_triangular(chol, z, lower=True, trans=True).T
 
     prec = np.broadcast_to(sig_inv, (n, p, p)).copy()
     diag = np.arange(p)
@@ -231,10 +234,13 @@ def bhm_run(
     burnin: int = 2000,
     rng: RngStream | None = None,
     resid_thin: int = 10,
-) -> tuple[Draws, SmoothResult]:
+    summarize: bool = True,
+) -> tuple[Draws, SmoothResult | None]:
     """Run the five-step Gibbs sampler and summarize the retained draws.
 
     The draws' coefficients are the pooled-grid signal values (no basis).
+    With ``summarize=False`` the posterior summaries and fit p-values are
+    skipped and the result is ``None``; the draws are the same either way.
     """
     n, p = data.n_curves, data.pooled_grid.size
     draws = Draws.allocate(n, p, [c.grid.size for c in data.curves], M, burnin, resid_thin)
@@ -261,8 +267,7 @@ def bhm_run(
         state.sigma_s2 = bhm_step_scale(state, ctx, rng)
         draws.record(it, state.Z, state.mu, state.Sigma.mat, precision, state.sigma_s2, resid)
 
-    result = _summarize(draws, ctx, started)
-    return draws, result
+    return draws, _summarize(draws, ctx, started) if summarize else None
 
 
 def _summarize(draws: Draws, ctx: BhmContext, started: float) -> SmoothResult:

@@ -162,6 +162,8 @@ def cmd_smooth(args) -> int:
             burnin=cfg.Burnin,
             rng=RngStream(cfg.seed, stream_id=chain),
             resid_thin=cfg.resid_thin,
+            # Only chain 0's summaries are written; later chains add draws.
+            summarize=chain == 0,
             **run_kwargs,
         )
         if not args.no_draws:

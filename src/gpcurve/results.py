@@ -2,17 +2,41 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Draws", "SmoothResult", "credible_band", "scalar_summary", "summarize_draws"]
+__all__ = [
+    "Draws",
+    "SmoothResult",
+    "credible_band",
+    "physical_memory_bytes",
+    "retained_bytes",
+    "scalar_summary",
+    "summarize_draws",
+]
 
 BAND_PROBS = (0.025, 0.975)
 
 # Working memory for one block of grid-space draws when a band or a
 # covariance diagonal is derived from coefficient draws.
 CHUNK_BYTES = 1 << 24
+
+
+def physical_memory_bytes() -> int | None:
+    """This machine's physical memory, or ``None`` where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def retained_bytes(n: int, K: int, curve_sizes, ndraws: int, n_resid: int) -> int:
+    """Bytes :meth:`Draws.allocate` keeps: per draw the n x K coefficients,
+    the K mean, the K x K covariance and two scalars, plus the thinned
+    residuals."""
+    return 8 * ndraws * (n * K + K + K * K + 2) + 8 * n_resid * sum(curve_sizes)
 
 
 @dataclass
@@ -42,12 +66,25 @@ class Draws:
     def allocate(
         cls, n: int, K: int, curve_sizes, M: int, burnin: int, resid_thin: int, basis=None
     ) -> "Draws":
+        """Empty draws for sweeps ``burnin`` .. ``M - 1``.
+
+        Refuses with ``ValueError`` before allocating when the retained bytes
+        (:func:`retained_bytes`) exceed the machine's physical memory.
+        """
         if burnin < 0 or M <= burnin:
             raise ValueError(f"need M > burnin >= 0, got M={M}, burnin={burnin}")
         if resid_thin < 1:
             raise ValueError(f"resid_thin must be at least 1, got {resid_thin}")
         ndraws = M - burnin
         n_resid = ndraws // resid_thin
+        need = retained_bytes(n, K, curve_sizes, ndraws, n_resid)
+        limit = physical_memory_bytes()
+        if limit is not None and need > limit:
+            raise ValueError(
+                f"keeping {ndraws} draws (--M {M} minus --Burnin {burnin}) needs "
+                f"{need / 2**30:.1f} GiB, more than this machine's "
+                f"{limit / 2**30:.1f} GiB of memory; lower --M or raise --Burnin"
+            )
         return cls(
             coef=np.empty((ndraws, n, K)),
             mu=np.empty((ndraws, K)),

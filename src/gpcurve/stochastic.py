@@ -9,34 +9,91 @@ Cholesky factor and records any diagonal ridge that was needed to factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "FactorizationError",
     "RngStream",
     "SpdMatrix",
+    "cho_factor_lower",
+    "cho_solve_lower",
     "cholesky_with_jitter",
     "pseudo_inverse",
     "sample_gamma",
     "sample_inverse_wishart",
     "sample_mvn",
     "sample_mvn_canonical",
+    "solve_triangular",
 ]
 
 # Ridge schedule, relative to the mean diagonal of the target matrix.
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 
-# Raw LAPACK Cholesky solve; the scipy wrappers' per-call input checks cost
-# more than the solve itself at the sizes the samplers batch over.
-(_potrs,) = get_lapack_funcs(("potrs",), dtype=np.float64)
+# Raw LAPACK Cholesky factor, Cholesky solve and triangular solve.  The
+# scipy.linalg wrappers' per-call dispatch costs more than the arithmetic at
+# the sizes a Gibbs sweep works on, so the samplers call these directly with
+# the arguments scipy.linalg would pass (the same bits come out) and do the
+# input checks themselves (finite inputs, the ``info`` codes).
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 
 class FactorizationError(np.linalg.LinAlgError):
     """A matrix stayed non-positive-definite through the full ridge schedule."""
+
+
+def _check_finite(*arrays) -> None:
+    """Raise ``ValueError`` as scipy.linalg does when an array holds an inf or NaN."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _lapack_info(info: int, routine: str) -> None:
+    """Raise on a negative LAPACK ``info``: an argument the caller got wrong."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+
+
+def cho_factor_lower(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a finite SPD ``mat`` (Fortran-ordered, upper
+    triangle zeroed), bit-identical to ``scipy.linalg.cholesky(mat, lower=True)``.
+
+    Raises :class:`numpy.linalg.LinAlgError` when ``mat`` is not positive
+    definite; no ridge is tried (see :func:`cholesky_with_jitter`).
+    """
+    _check_finite(mat)
+    chol, info = _potrf(mat, lower=1, clean=1)
+    _lapack_info(info, "potrf")
+    if info:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return chol
+
+
+def cho_solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``(chol chol^T) x = b`` for a lower factor ``chol``, bit-identical
+    to ``scipy.linalg.cho_solve((chol, True), b)``."""
+    _check_finite(chol, b)
+    x, info = _potrs(chol, b, lower=1)
+    _lapack_info(info, "potrs")
+    return x
+
+
+def solve_triangular(tri: np.ndarray, b: np.ndarray, lower: bool, trans: bool) -> np.ndarray:
+    """Solve ``tri x = b``, or ``tri^T x = b`` with ``trans``, for a
+    Fortran-ordered triangular ``tri``, bit-identical to
+    ``scipy.linalg.solve_triangular`` given the same array."""
+    _check_finite(tri, b)
+    x, info = _trtrs(tri, b, lower=int(lower), trans=int(trans))
+    _lapack_info(info, "trtrs")
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 class RngStream:
@@ -102,17 +159,21 @@ def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix"):
         Lower-triangular factor of ``mat + ridge * I`` and the ridge used.
     """
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be a square 2-d array, got shape {mat.shape}")
+    try:
+        return cho_factor_lower(mat), 0.0
+    except np.linalg.LinAlgError as err:
+        failure = err
     scale = float(np.mean(np.diag(mat)))
     if not scale > 0.0:
         scale = 1.0
-    ridges = [0.0] + [10.0**e * scale for e in range(-10, -3)]
+    ridges = [10.0**e * scale for e in range(-10, -3)]
     eye = np.eye(mat.shape[0])
-    failure = None
     for ridge in ridges:
-        attempt = mat + ridge * eye if ridge else mat
         try:
-            return sla.cholesky(attempt, lower=True), ridge
-        except sla.LinAlgError as err:
+            return cho_factor_lower(mat + ridge * eye), ridge
+        except np.linalg.LinAlgError as err:
             failure = err
     raise FactorizationError(
         f"{name} is not positive definite even with ridge "
@@ -158,10 +219,12 @@ class SpdMatrix:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``mat @ x = b`` through the cached factor."""
-        return sla.cho_solve((self.chol, True), b)
+        return cho_solve_lower(self.chol, b)
 
     def inverse(self) -> np.ndarray:
-        inv = sla.cho_solve((self.chol, True), np.eye(self.dim))
+        # A solve against the identity rather than LAPACK potri, whose
+        # rounding differs.
+        inv = cho_solve_lower(self.chol, np.eye(self.dim))
         return (inv + inv.T) / 2.0
 
     def logdet(self) -> float:
@@ -235,13 +298,21 @@ def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
     diag_df = dof - np.arange(p)
     a[np.diag_indices(p)] = np.sqrt(gen.chisquare(diag_df))
     if p > 1:
-        rows, cols = np.tril_indices(p, k=-1)
+        rows, cols = _strict_lower_indices(p)
         a[rows, cols] = gen.standard_normal(rows.size)
-    # Y = A^{-1} L^T, so X = Y^T Y.
-    y = sla.solve_triangular(a, scale.chol.T, lower=True)
+    # Y = A^{-1} L^T, so X = Y^T Y.  The C-ordered lower A goes to LAPACK as
+    # the Fortran-ordered upper A^T, as scipy.linalg.solve_triangular passes it.
+    y = solve_triangular(a.T, scale.chol.T, lower=False, trans=True)
     draw = y.T @ y
     draw = (draw + draw.T) / 2.0
     return SpdMatrix.from_matrix(draw, name="inverse-Wishart draw")
+
+
+@lru_cache(maxsize=32)
+def _strict_lower_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.tril_indices(p, k=-1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def sample_gamma(shape: float, rate: float, rng, size: int | None = None):

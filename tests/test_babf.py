@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpcurve.babf import (
+    BabfState,
     babf_init,
     babf_run,
     babf_step_coeffs,
@@ -12,9 +13,11 @@ from gpcurve.babf import (
     babf_step_scale,
     build_babf_context,
 )
-from gpcurve.bsplines import build_basis, select_working_grid
-from gpcurve.datagen import SimConfig, sim_gfd, sim_gfd_rgrid
-from gpcurve.empirical import build_hyperparams, empirical_estimates
+from gpcurve.bsplines import WorkingGrid, build_basis, select_working_grid
+from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd, sim_gfd_rgrid
+from gpcurve.empirical import HyperParams, build_hyperparams, empirical_estimates
+from gpcurve.kernels import CovarianceModel
+from gpcurve.results import retained_bytes
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
@@ -50,6 +53,52 @@ def test_noise_step_matches_gamma_oracle():
         sample_gamma(hyper.a_eps + n_obs / 2.0, hyper.b_eps + rss / 2.0, RngStream(5))
     )
     assert precision == pytest.approx(oracle, rel=1e-12)
+
+
+def test_batched_noise_step_equals_the_per_curve_loop_on_ragged_curves():
+    # Curves of 1 to 9 points: the zero-padded batched residuals must give
+    # the per-curve loop's residual sum of squares and use one gamma draw.
+    gen = np.random.default_rng(11)
+    curves = []
+    for m in (5, 1, 9, 3, 7, 2):
+        grid = np.sort(gen.uniform(*DOMAIN, m))
+        curves.append(Curve(grid=grid, raw=np.sin(3.0 * grid) + 0.3 * gen.standard_normal(m)))
+    data = FunctionalDataset(curves=curves)
+    tau = np.linspace(0.1, 1.4, 5)
+    base = SpdMatrix.from_matrix(np.exp(-np.abs(tau[:, None] - tau[None, :])))
+    hyper = HyperParams(
+        grid=tau,
+        mu0=np.zeros(5),
+        A=CovarianceModel(kind="empirical", s2=1.0, base=base, grid=tau),
+        c=1.0,
+        delta=5.0,
+        a_eps=2.0,
+        b_eps=0.5,
+        a_s=1.0,
+        b_s=1.0,
+    )
+    basis = build_basis(WorkingGrid(tau=tau, source="user"), domain=DOMAIN)
+    ctx = build_babf_context(data, hyper, basis, tau, tau)
+    assert ctx.b_pad.shape == (6, 9, ctx.K) and ctx.x_pad.shape == (6, 9)
+    state = BabfState(
+        zeta=gen.standard_normal((6, ctx.K)),
+        mu_zeta=np.zeros(ctx.K),
+        Sigma_zeta=SpdMatrix.from_matrix(np.eye(ctx.K)),
+        sigma_eps2=0.2,
+        sigma_s2=1.0,
+    )
+    rss = 0.0
+    for b, curve, zeta_i in zip(ctx.bt, data.curves, state.zeta):
+        r = curve.raw - b @ zeta_i
+        rss += float(r @ r)
+    rng, ref = RngStream(4), RngStream(4)
+    variance, precision = babf_step_noise(state, ctx, rng)
+    oracle = float(sample_gamma(hyper.a_eps + 27 / 2.0, hyper.b_eps + rss / 2.0, ref))
+    # The gamma draw scales exactly with 1 / rate, so equal precisions to
+    # 1e-12 mean equal residual sums of squares to about 1e-12.
+    assert precision == pytest.approx(oracle, rel=1e-12)
+    assert variance == 1.0 / precision
+    assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
 
 
 def test_scale_step_uses_the_transformed_trace():
@@ -230,6 +279,17 @@ def test_retained_draws_do_not_grow_with_the_evaluation_grid():
     assert kept[400] - kept[10] == (400 - 10) * 6 * 8
 
 
+def test_memory_guard_estimate_is_what_the_draws_keep():
+    data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
+    draws, _ = babf_run(
+        data, L=6, domain=DOMAIN, M=50, burnin=20, rng=RngStream(3), resid_thin=4,
+        hyper_kwargs={"ws": 1.0}, summarize=False,
+    )
+    kept = sum(a.nbytes for name, a in _draw_arrays(draws) if name != "basis")
+    sizes = [c.grid.size for c in data.curves]
+    assert kept == retained_bytes(5, 6, sizes, ndraws=30, n_resid=7)
+
+
 def test_default_pooled_eval_grid_keeps_only_the_basis_on_its_axis():
     data = sim_gfd_rgrid(SimConfig(n=30, p=40, seed=2))
     E = data.pooled_grid.size
@@ -265,6 +325,18 @@ def test_summaries_commute_with_the_basis_when_eval_is_tau():
     )
     np.testing.assert_allclose(res.Z, res.Zeta @ res.Btau.T, atol=1e-10)
     np.testing.assert_allclose(res.mu, res.Btau @ res.mu_zeta, atol=1e-10)
+
+
+def test_run_without_summaries_keeps_the_same_draws():
+    data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
+    kwargs = dict(L=6, domain=DOMAIN, M=50, burnin=20, resid_thin=3, hyper_kwargs={"ws": 1.0})
+    draws_a, res_a = babf_run(data, rng=RngStream(3), **kwargs)
+    draws_b, res_b = babf_run(data, rng=RngStream(3), summarize=False, **kwargs)
+    assert res_a is not None and res_b is None
+    for f in dataclasses.fields(draws_a):
+        a, b = getattr(draws_a, f.name), getattr(draws_b, f.name)
+        for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
+            np.testing.assert_array_equal(x, y)
 
 
 def test_run_validations():

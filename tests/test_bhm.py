@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from gpcurve.bhm import (
     BhmState,
@@ -82,6 +85,29 @@ def test_signal_step_uses_n_times_p_normals_on_irregular_grids():
     fresh = RngStream(21, stream_id=1)
     fresh.generator.standard_normal((ctx.n, ctx.p))
     assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
+
+
+def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
+    # The common-grid branch calls LAPACK directly; it must reproduce the
+    # scipy.linalg formulation bit for bit, from the same random numbers.
+    data = sim_gfd(SimConfig(n=7, p=12, seed=3))
+    hyper = _hyper_for(data)
+    ctx = build_context(data, hyper)
+    assert ctx.common
+    state = bhm_init(data, hyper, empirical_estimates(data))
+    state.Sigma = bhm_step_cov(state, ctx, RngStream(1))
+    draw = bhm_step_signals(state, ctx, RngStream(2))
+
+    gen = RngStream(2).generator
+    n, p = ctx.n, ctx.p
+    inv = sla.cho_solve((state.Sigma.chol, True), np.eye(p))
+    sig_inv = (inv + inv.T) / 2.0
+    b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
+    chol = sla.cholesky(sig_inv + np.eye(p) / state.sigma_eps2, lower=True)
+    means = sla.cho_solve((chol, True), b.T).T
+    z = gen.standard_normal((p, n))
+    want = means + sla.solve_triangular(chol, z, trans="T", lower=True).T
+    np.testing.assert_array_equal(draw, want)
 
 
 def test_signal_step_rejects_a_non_positive_definite_precision():
@@ -256,6 +282,21 @@ def test_run_shapes_determinism_and_validation():
         bhm_run(data, hyper, M=10, burnin=10)
     with pytest.raises(ValueError, match="resid_thin"):
         bhm_run(data, hyper, M=30, burnin=10, resid_thin=0)
+
+
+@pytest.mark.parametrize("cgrid", [True, False])
+def test_run_without_summaries_keeps_the_same_draws(cgrid):
+    data = sim_gfd(SimConfig(n=6, p=10, seed=8, cgrid=cgrid))
+    hyper = _hyper_for(data)
+    draws_a, res_a = bhm_run(data, hyper, M=60, burnin=20, rng=RngStream(4), resid_thin=3)
+    draws_b, res_b = bhm_run(
+        data, hyper, M=60, burnin=20, rng=RngStream(4), resid_thin=3, summarize=False
+    )
+    assert res_a is not None and res_b is None
+    for f in dataclasses.fields(draws_a):
+        a, b = getattr(draws_a, f.name), getattr(draws_b, f.name)
+        for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
+            np.testing.assert_array_equal(x, y)
 
 
 def test_summaries_equal_whole_array_reductions_bit_for_bit(monkeypatch):

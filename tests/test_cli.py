@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gpcurve import cli
+from gpcurve import cli, results
 
 
 def run(*argv) -> int:
@@ -224,3 +224,66 @@ def test_babf_smooth_passes_lambda_flags_to_the_estimates(tmp_path, dataset, mon
     candidates, eval_grid = calls[0]
     np.testing.assert_array_equal(candidates, [0.95])
     assert eval_grid.size == 6
+
+
+def test_retained_draws_beyond_physical_memory_exit_2_before_allocating(tmp_path, dataset, capsys):
+    # 10**12 retained sweeps of 8 curves on 12 points would need about
+    # 1.8 PiB: the guard must refuse before any draws array is requested.
+    if results.physical_memory_bytes() is None:
+        pytest.skip("the OS does not report physical memory")
+    out = tmp_path / "huge.json"
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(out), "--smethod", "bhm",
+        "--M", str(10**12), "--Burnin", "0",
+    )
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "--M 1000000000000" in err and "--Burnin 0" in err and "GiB" in err
+    assert not out.exists()
+    assert not out.with_name(out.stem + ".draws").exists()
+
+
+METHOD_ARGS = {
+    "bhm": ("--smethod", "bhm"),
+    "babf": ("--smethod", "babf", "--m", "6", "--eval-grid-len", "15"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_ARGS))
+def test_two_chain_smooth_writes_what_summarizing_every_chain_wrote(
+    tmp_path, dataset, monkeypatch, method
+):
+    args = (
+        "smooth", "--data", str(dataset), *METHOD_ARGS[method], "--M", "60",
+        "--Burnin", "20", "--ws", "1.0", "--chains", "2", "--resid-thin", "4",
+    )
+    name = f"{method}_run"
+    original = getattr(cli, name)
+    asked = []
+
+    def spy(*a, **kw):
+        asked.append(kw["summarize"])
+        return original(*a, **kw)
+
+    monkeypatch.setattr(cli, name, spy)
+    fast = tmp_path / "fast.json"
+    assert run(*args, "--out", str(fast)) == 0
+    assert asked == [True, False]
+
+    def every_chain(*a, **kw):
+        return original(*a, **dict(kw, summarize=True))
+
+    monkeypatch.setattr(cli, name, every_chain)
+    full = tmp_path / "full.json"
+    assert run(*args, "--out", str(full)) == 0
+
+    got, want = json.loads(fast.read_text()), json.loads(full.read_text())
+    for payload in (got, want):
+        payload.pop("runtime_seconds")
+        payload.pop("draws")  # names the .draws directory
+    assert got == want
+    got_dir, want_dir = (p.with_name(p.stem + ".draws") for p in (fast, full))
+    names = sorted(p.name for p in want_dir.iterdir())
+    assert sorted(p.name for p in got_dir.iterdir()) == names
+    for fname in names:
+        assert (got_dir / fname).read_bytes() == (want_dir / fname).read_bytes()
