@@ -193,9 +193,7 @@ def babf_step_meancov(
     dev = state.zeta - state.mu_zeta[None, :]
     dmu = state.mu_zeta - ctx.mu0_zeta
     scale = state.sigma_s2 * ctx.prior_base + dev.T @ dev + c * np.outer(dmu, dmu)
-    scale = SpdMatrix.from_matrix(
-        (scale + scale.T) / 2.0, name="coefficient covariance conditional scale"
-    )
+    scale = SpdMatrix.from_matrix(scale, name="coefficient covariance conditional scale")
     sigma_zeta = sample_inverse_wishart(ctx.hyper.delta + n + 1.0, scale, rng)
     loc = (c * ctx.mu0_zeta + state.zeta.sum(axis=0)) / (c + n)
     z = gen.standard_normal(ctx.K)

@@ -5,8 +5,10 @@ signals share one GP law, the GP mean gets a conjugate GP prior tied to
 the same covariance, the covariance gets an inverse-Wishart-process prior
 whose scale is itself Gamma-distributed, and the noise precision is
 Gamma.  All five full conditionals are conjugate, so each sweep is five
-exact draws.  Cost per sweep is O(n p^3) on the pooled grid; on a common
-grid all curves share one factorization.
+exact draws.  On a common grid all curves share one factorization of a
+p x p precision.  On grid subsets the signals are drawn pathwise, so curve i
+costs one factorization of its m_i x m_i observed block: O(sum_i m_i^3)
+per sweep, plus one product of n prior draws with the covariance factor.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
     cho_factor_lower,
+    cho_solve_batched,
     cho_solve_lower,
     sample_gamma,
     sample_inverse_wishart,
-    sample_mvn_canonical,
     solve_triangular,
 )
 
@@ -76,7 +78,17 @@ class BhmState:
 
 @dataclass
 class BhmContext:
-    """Precomputed run-constant arrays: data layout and prior pieces."""
+    """Precomputed run-constant arrays: data layout and prior pieces.
+
+    The observations also come padded to ``m_max``, the size of the
+    largest observation grid: ``obs_valid`` (n, m_max) marks the real
+    entries, ``obs_flat`` holds their flat positions in an (n, p) array and
+    ``x_obs`` their values, both in curve order.  ``block_gather``
+    (n, m_max, m_max) holds flat indices that pick each curve's observed
+    block out of a p x p matrix bordered by one row and one column of
+    zeros, a (p + 1) x (p + 1) matrix; padded entries pick the zero border.
+    It is None on a common grid, which does not use it.
+    """
 
     data: FunctionalDataset
     smap: SelectionMap
@@ -87,6 +99,10 @@ class BhmContext:
     common: bool
     A: np.ndarray
     mu0: np.ndarray
+    obs_valid: np.ndarray
+    obs_flat: np.ndarray
+    x_obs: np.ndarray
+    block_gather: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -111,6 +127,11 @@ def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
     for i, curve in enumerate(data.curves):
         obs_mask[i, smap.indices[i]] = 1.0
         x_scatter[i, smap.indices[i]] = curve.raw
+    sizes = np.array([idx.size for idx in smap.indices])
+    obs_valid = np.arange(sizes.max())[None, :] < sizes[:, None]
+    obs_idx = np.full(obs_valid.shape, p, dtype=np.intp)
+    obs_idx[obs_valid] = np.concatenate(smap.indices)
+    common = data.common_grid()
     return BhmContext(
         data=data,
         smap=smap,
@@ -118,9 +139,13 @@ def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
         obs_mask=obs_mask,
         x_scatter=x_scatter,
         n_obs=int(obs_mask.sum()),
-        common=data.common_grid(),
+        common=common,
         A=hyper.A.evaluate(pooled).mat,
         mu0=hyper.mu0,
+        obs_valid=obs_valid,
+        obs_flat=(obs_idx + p * np.arange(n)[:, None])[obs_valid],
+        x_obs=np.concatenate([curve.raw for curve in data.curves]),
+        block_gather=None if common else obs_idx[:, :, None] * (p + 1) + obs_idx[:, None, :],
     )
 
 
@@ -154,31 +179,56 @@ def bhm_init(
 def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.ndarray:
     """Draw every signal from its Gaussian full conditional.
 
-    Precision is Sigma^-1 plus the observation indicator scaled by the
-    noise precision; the draw is mean + L^-T z with L the precision factor.
+    Curve i's conditional is N((Sigma^-1 + D_i / s2)^-1 (Sigma^-1 mu + x_i / s2),
+    (Sigma^-1 + D_i / s2)^-1), with D_i the indicator of its observed points
+    and s2 the noise variance.
+
     On a common grid all curves share one precision and one factorization,
-    taken with raw LAPACK calls.  Otherwise each curve's precision is
-    factored once and the draw is taken as prec^-1 (b + L z), one Cholesky
-    solve per curve
-    (:func:`~gpcurve.stochastic.sample_mvn_canonical`).  Either way the step
-    uses n * p standard normals.
+    taken with raw LAPACK calls; the draw is mean + L^-T z with L the
+    precision factor, from n * p standard normals.
+
+    On grid subsets the draw is pathwise (Matheron's rule; Wilson et al.
+    2020): a prior path f_i = mu + L_Sigma z_i, then the correction
+    Z_i = f_i + Sigma[:, O_i] (Sigma[O_i, O_i] + s2 I)^-1 (x_i - f_i[O_i] - sqrt(s2) e_i),
+    which has the same law.  It uses n * p standard normals for the paths,
+    then one per observation, in curve order, for the noise e.  The observed
+    blocks are zero-padded to one size (padded rows and columns are the
+    identity, padded residuals zero), factored in one batched Cholesky and
+    solved with one Cholesky solve per curve.
+
+    Raises :class:`numpy.linalg.LinAlgError` when the noise variance is not
+    positive or a factorization fails.
     """
+    if not state.sigma_eps2 > 0.0:
+        raise np.linalg.LinAlgError(
+            f"noise variance must be positive, got {state.sigma_eps2}"
+        )
     gen = rng.generator
     n, p = ctx.n, ctx.p
-    sig_inv = state.Sigma.inverse()
-    b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
 
     if ctx.common:
+        sig_inv = state.Sigma.inverse()
+        b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
         prec = sig_inv + np.eye(p) / state.sigma_eps2
         chol = cho_factor_lower(prec)
         means = cho_solve_lower(chol, b.T).T
         z = gen.standard_normal((p, n))
         return means + solve_triangular(chol, z, lower=True, trans=True).T
 
-    prec = np.broadcast_to(sig_inv, (n, p, p)).copy()
-    diag = np.arange(p)
-    prec[:, diag, diag] += ctx.obs_mask / state.sigma_eps2
-    return sample_mvn_canonical(prec, b, gen.standard_normal((n, p)))
+    sigma = state.Sigma.mat
+    paths = state.mu + gen.standard_normal((n, p)) @ state.Sigma.chol.T
+    noise = np.sqrt(state.sigma_eps2) * gen.standard_normal(ctx.n_obs)
+    resid = np.zeros(ctx.obs_valid.shape)
+    resid[ctx.obs_valid] = ctx.x_obs - np.take(paths, ctx.obs_flat) - noise
+    bordered = np.zeros((p + 1, p + 1))
+    bordered[:p, :p] = sigma
+    blocks = np.take(bordered, ctx.block_gather)
+    diag = np.arange(blocks.shape[1])
+    blocks[:, diag, diag] += np.where(ctx.obs_valid, state.sigma_eps2, 1.0)
+    weights = cho_solve_batched(np.linalg.cholesky(blocks), resid)
+    scattered = np.zeros((n, p))
+    scattered.ravel()[ctx.obs_flat] = weights[ctx.obs_valid]
+    return paths + scattered @ sigma
 
 
 def bhm_step_noise(state: BhmState, ctx: BhmContext, rng: RngStream) -> tuple[float, float]:
@@ -213,7 +263,7 @@ def bhm_step_cov(state: BhmState, ctx: BhmContext, rng: RngStream) -> SpdMatrix:
     dev = state.Z - state.mu[None, :]
     dmu = state.mu - ctx.mu0
     scale = state.sigma_s2 * ctx.A + dev.T @ dev + ctx.hyper.c * np.outer(dmu, dmu)
-    scale = SpdMatrix.from_matrix((scale + scale.T) / 2.0, name="covariance conditional scale")
+    scale = SpdMatrix.from_matrix(scale, name="covariance conditional scale")
     return sample_inverse_wishart(ctx.hyper.delta + ctx.n + 1.0, scale, rng)
 
 

@@ -8,6 +8,7 @@ Cholesky factor and records any diagonal ridge that was needed to factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ __all__ = [
     "RngStream",
     "SpdMatrix",
     "cho_factor_lower",
+    "cho_solve_batched",
     "cho_solve_lower",
     "cholesky_with_jitter",
     "pseudo_inverse",
@@ -29,7 +31,8 @@ __all__ = [
     "solve_triangular",
 ]
 
-# Ridge schedule, relative to the mean diagonal of the target matrix.
+# Ridge schedule, relative to the mean diagonal of the target matrix: the
+# powers of ten from JITTER_BASE to JITTER_MAX.
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 
@@ -149,8 +152,8 @@ def _generator(rng) -> np.random.Generator:
 def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix"):
     """Lower Cholesky factor of ``mat``, ridging the diagonal on failure.
 
-    The ridge starts at ``1e-10 * mean(diag)`` and escalates tenfold up to
-    ``1e-4 * mean(diag)``.  A matrix that still fails raises
+    The ridge starts at ``JITTER_BASE * mean(diag)`` and escalates tenfold
+    up to ``JITTER_MAX * mean(diag)``.  A matrix that still fails raises
     :class:`FactorizationError` quoting the leading minor LAPACK flagged.
 
     Returns
@@ -168,7 +171,8 @@ def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix"):
     scale = float(np.mean(np.diag(mat)))
     if not scale > 0.0:
         scale = 1.0
-    ridges = [10.0**e * scale for e in range(-10, -3)]
+    first, last = round(math.log10(JITTER_BASE)), round(math.log10(JITTER_MAX))
+    ridges = [10.0**e * scale for e in range(first, last + 1)]
     eye = np.eye(mat.shape[0])
     for ridge in ridges:
         try:
@@ -200,6 +204,7 @@ class SpdMatrix:
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"{name} must be a square 2-d array, got shape {mat.shape}")
+        _check_finite(mat)
         scale = max(float(np.max(np.abs(mat))), 1.0)
         asym = float(np.max(np.abs(mat - mat.T)))
         if asym > sym_tol * scale:
@@ -255,6 +260,22 @@ def sample_mvn(mean: np.ndarray, cov, rng, size: int | None = None) -> np.ndarra
     return mean + z @ cov.chol.T
 
 
+def cho_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``chol[i] chol[i]^T x[i] = rhs[i]`` for every row ``i``, in place.
+
+    ``chol`` is a stack of lower factors as :func:`numpy.linalg.cholesky`
+    returns them (C-ordered), ``rhs`` an ``(n, m)`` array that is
+    overwritten with the solutions and returned.  One LAPACK ``potrs`` call
+    per row.
+    """
+    for i in range(rhs.shape[0]):
+        # chol[i].T is a Fortran-ordered view of the upper factor L_i^T.
+        rhs[i], info = _potrs(chol[i].T, rhs[i], lower=0, overwrite_b=1)
+        if info:
+            raise np.linalg.LinAlgError(f"Cholesky solve failed for row {i}: LAPACK info {info}")
+    return rhs
+
+
 def sample_mvn_canonical(prec: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Batched Gaussian draws given in canonical (precision) form.
 
@@ -268,13 +289,7 @@ def sample_mvn_canonical(prec: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.n
     positive definite.
     """
     chol = np.linalg.cholesky(prec)
-    rhs = b + np.matmul(chol, z[..., None])[..., 0]
-    for i in range(rhs.shape[0]):
-        # chol[i].T is a Fortran-ordered view of the upper factor L_i^T.
-        rhs[i], info = _potrs(chol[i].T, rhs[i], lower=0, overwrite_b=1)
-        if info:
-            raise np.linalg.LinAlgError(f"Cholesky solve failed for row {i}: LAPACK info {info}")
-    return rhs
+    return cho_solve_batched(chol, b + np.matmul(chol, z[..., None])[..., 0])
 
 
 def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
@@ -303,9 +318,7 @@ def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
     # Y = A^{-1} L^T, so X = Y^T Y.  The C-ordered lower A goes to LAPACK as
     # the Fortran-ordered upper A^T, as scipy.linalg.solve_triangular passes it.
     y = solve_triangular(a.T, scale.chol.T, lower=False, trans=True)
-    draw = y.T @ y
-    draw = (draw + draw.T) / 2.0
-    return SpdMatrix.from_matrix(draw, name="inverse-Wishart draw")
+    return SpdMatrix.from_matrix(y.T @ y, name="inverse-Wishart draw")
 
 
 @lru_cache(maxsize=32)

@@ -79,11 +79,14 @@ def tiny_problem(common=True):
 
 
 def test_signal_step_uses_n_times_p_normals_on_irregular_grids():
+    # n * p normals for the prior paths, then one per observation for the noise.
     data, hyper, ctx, state = tiny_problem(common=False)
     rng = RngStream(21, stream_id=1)
     bhm_step_signals(state, ctx, rng)
     fresh = RngStream(21, stream_id=1)
     fresh.generator.standard_normal((ctx.n, ctx.p))
+    fresh.generator.standard_normal(ctx.n_obs)
+    assert ctx.n_obs == 9
     assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
 
 
@@ -113,6 +116,15 @@ def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
 def test_signal_step_rejects_a_non_positive_definite_precision():
     data, hyper, ctx, state = tiny_problem(common=False)
     state.sigma_eps2 = -0.01
+    with pytest.raises(np.linalg.LinAlgError):
+        bhm_step_signals(state, ctx, RngStream(0))
+
+
+def test_pathwise_signal_step_raises_on_a_non_positive_definite_block():
+    # An indefinite covariance (built past SpdMatrix's checks) makes the
+    # observed blocks indefinite: the step must raise, not return NaN draws.
+    data, hyper, ctx, state = tiny_problem(common=False)
+    state.Sigma = SpdMatrix(mat=-np.eye(4), chol=np.eye(4))
     with pytest.raises(np.linalg.LinAlgError):
         bhm_step_signals(state, ctx, RngStream(0))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -166,6 +168,19 @@ def test_cholesky_with_jitter_rescues_singular_psd():
     np.testing.assert_allclose(chol @ chol.T, mat + ridge * np.eye(2), atol=1e-12)
 
 
+def test_jitter_max_sets_the_last_ridge_tried(monkeypatch):
+    # Eigenvalue -3e-5: the default schedule rescues it at 1e-4 * mean(diag);
+    # capped at 1e-5 the schedule runs out and the error quotes the cap.
+    from gpcurve import stochastic
+
+    mat = np.array([[1.0, 1.0], [1.0, 1.0]]) - 3e-5 * np.eye(2)
+    _, ridge = cholesky_with_jitter(mat)
+    assert ridge == 10.0**-4 * (1.0 - 3e-5)
+    monkeypatch.setattr(stochastic, "JITTER_MAX", 1e-5)
+    with pytest.raises(FactorizationError, match=r"ridge 1e-05"):
+        cholesky_with_jitter(mat)
+
+
 def test_factorization_error_names_the_matrix():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(FactorizationError, match="prior covariance"):
@@ -196,6 +211,11 @@ def test_spd_matrix_rejects_bad_input():
         SpdMatrix.from_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError, match="not symmetric"):
         SpdMatrix.from_matrix(np.array([[1.0, 0.5], [0.1, 1.0]]))
+    # A non-finite entry is rejected before the symmetry check can warn.
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="infs or NaNs"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SpdMatrix.from_matrix(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_pseudo_inverse_examples():

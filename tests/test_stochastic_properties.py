@@ -4,6 +4,8 @@ The kernels call LAPACK directly; these check them against scipy.linalg,
 which they must match bit for bit, and against each other.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -135,7 +137,8 @@ def test_non_finite_input_raises_value_error(p, seed, bad, where):
     message = "must not contain infs or NaNs"
     with pytest.raises(ValueError, match=message):
         cholesky_with_jitter(broken)
-    with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+        warnings.simplefilter("error")
         SpdMatrix.from_matrix(broken)
     rhs = np.ones(p)
     rhs[where % p] = bad
