@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib
 import json
 import sys
 
 import numpy as np
 
-from gpcurve.babf import babf_run, babf_working_grid
-from gpcurve.bhm import bhm_run
 from gpcurve.datagen import SimConfig, sim_gfd, sim_gfd_rgrid, true_mean_function
 from gpcurve.diagnostics import (
     accuracy,
@@ -30,7 +29,6 @@ from gpcurve.diagnostics import (
     monitored_scalars,
     psrf,
 )
-from gpcurve.empirical import build_hyperparams, empirical_estimates
 from gpcurve.io import (
     RunConfig,
     UnsupportedFeatureError,
@@ -40,8 +38,33 @@ from gpcurve.io import (
     save_dataset,
     save_results,
 )
-from gpcurve.protocol import run_regression_protocol
 from gpcurve.stochastic import FactorizationError, RngStream
+
+# Callees that pull in scipy.interpolate, scipy.optimize and scipy.sparse,
+# mapped to their home modules.  They are imported on first attribute
+# access (PEP 562), so `simulate` and `diagnose` start without them.
+# Commands call them as attributes of this module (`_cli.<name>`), which
+# keeps them patchable by name like the eagerly imported callees.
+_DEFERRED = {
+    "babf_run": "gpcurve.babf",
+    "babf_working_grid": "gpcurve.babf",
+    "bhm_run": "gpcurve.bhm",
+    "build_hyperparams": "gpcurve.empirical",
+    "empirical_estimates": "gpcurve.empirical",
+    "run_regression_protocol": "gpcurve.protocol",
+}
+
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    home = _DEFERRED.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -116,6 +139,12 @@ def _monitored_matrix(monitored: dict[str, np.ndarray]) -> tuple[list[str], np.n
 
 
 def cmd_smooth(args) -> int:
+    if args.no_draws and args.chains > 1:
+        # Chains after the first contribute only their monitored draws.
+        raise ValueError(
+            f"--chains {args.chains} with --no-draws would discard every chain after "
+            "the first; drop --no-draws or pass --chains 1"
+        )
     data, meta = load_dataset(args.data)
     cfg = _config_from_args(args)
     cfg.cgrid = int(data.common_grid())
@@ -127,19 +156,19 @@ def cmd_smooth(args) -> int:
     # config only, so every chain shares one set.  bhm builds them on the
     # pooled grid, babf on its working grid.
     if cfg.smethod == "bhm":
-        run, est_grid, run_kwargs = bhm_run, None, {}
+        run, est_grid, run_kwargs = _cli.bhm_run, None, {}
     else:
         tau = None if cfg.tau is None else np.asarray(cfg.tau, dtype=float)
-        est_grid = babf_working_grid(data.pooled_grid, cfg.m, tau).tau
+        est_grid = _cli.babf_working_grid(data.pooled_grid, cfg.m, tau).tau
         eval_grid = None
         if cfg.eval_grid is not None:
             eval_grid = np.asarray(cfg.eval_grid, dtype=float)
         elif args.eval_grid_len is not None:
             eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
-        run = babf_run
+        run = _cli.babf_run
         run_kwargs = dict(L=cfg.m, tau=tau, eval_grid=eval_grid, domain=domain)
-    est = empirical_estimates(data, candidates=candidates, eval_grid=est_grid)
-    hyper = build_hyperparams(
+    est = _cli.empirical_estimates(data, candidates=candidates, eval_grid=est_grid)
+    hyper = _cli.build_hyperparams(
         est,
         mat=bool(cfg.mat),
         w=cfg.w,
@@ -320,7 +349,7 @@ def cmd_regress(args) -> int:
         grid = payload["grid"]
         Z = np.asarray(est["Z"], dtype=float)
         smoothed = [Z[i, np.searchsorted(grid, c.grid)] for i, c in enumerate(data.curves)]
-    report = run_regression_protocol(
+    report = _cli.run_regression_protocol(
         data,
         smoothed,
         n_train=args.n_train,
@@ -407,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     smo.add_argument("--resid-thin", type=int, default=10, help="residual retention stride")
     smo.add_argument("--chains", type=int, default=1, help="independent chains, run sequentially")
     smo.add_argument("--seed", type=int, default=0)
-    smo.add_argument("--no-draws", action="store_true", help="skip the draws sidecar")
+    smo.add_argument("--no-draws", action="store_true", help="skip the draws sidecar (one chain only)")
     smo.set_defaults(func=cmd_smooth)
 
     dia = sub.add_parser("diagnose", help="convergence and misfit diagnostics")

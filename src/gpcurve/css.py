@@ -16,7 +16,7 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.interpolate import CubicSpline
 
-from gpcurve.gridutil import check_grid
+from gpcurve.gridutil import check_grid, default_lambda_grid
 
 __all__ = [
     "SplineFit",
@@ -28,12 +28,6 @@ __all__ = [
 ]
 
 _TRACE_CHUNK = 256
-
-
-def default_lambda_grid(start: float = 0.90, stop: float = 0.99, step: float = 0.01) -> np.ndarray:
-    """Candidate interpolation weights, inclusive of both ends."""
-    count = int(round((stop - start) / step)) + 1
-    return np.round(np.linspace(start, stop, count), 12)
 
 
 def near_interp_weight(grid) -> float:

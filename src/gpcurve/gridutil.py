@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_grid", "pooled_union"]
+__all__ = ["check_grid", "default_lambda_grid", "pooled_union"]
 
 
 def check_grid(grid, name: str = "grid") -> np.ndarray:
@@ -28,3 +28,9 @@ def check_grid(grid, name: str = "grid") -> np.ndarray:
 def pooled_union(grids) -> np.ndarray:
     """Sorted union of several 1-d grids with exact duplicates removed."""
     return np.unique(np.concatenate([np.asarray(g, dtype=float) for g in grids]))
+
+
+def default_lambda_grid(start: float = 0.90, stop: float = 0.99, step: float = 0.01) -> np.ndarray:
+    """Candidate interpolation weights, inclusive of both ends."""
+    count = int(round((stop - start) / step)) + 1
+    return np.round(np.linspace(start, stop, count), 12)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gpcurve.css import default_lambda_grid
 from gpcurve.datagen import Curve, FunctionalDataset
+from gpcurve.gridutil import default_lambda_grid
 from gpcurve.results import SmoothResult
 from gpcurve.stochastic import SpdMatrix
 

@@ -191,6 +191,25 @@ def test_non_finite_curve_value_exits_2_naming_the_curve(tmp_path, dataset, caps
     assert "curve 7" in err and "position 3" in err and "non-finite" in err
 
 
+def test_several_chains_without_draws_exit_2_before_any_chain_runs(
+    tmp_path, dataset, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("no chain may run")
+
+    monkeypatch.setattr(cli, "bhm_run", never)
+    out = tmp_path / "chains.json"
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(out), "--smethod", "bhm",
+        "--M", "40", "--Burnin", "10", "--chains", "3", "--no-draws",
+    )
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "--chains 3" in err and "--no-draws" in err
+    assert not out.exists()
+    assert not out.with_name(out.stem + ".draws").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path, dataset, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")

@@ -79,6 +79,43 @@ def test_pdm_bonferroni_and_cap():
     assert pdm_pvalues(calm).pmin_vec[0] == 1.0
 
 
+def test_pdm_pvalues_equal_the_scipy_stats_chi2_reference_bit_for_bit():
+    from scipy.stats import chi2
+
+    def reference(resid):
+        out = []
+        for r in resid:
+            pvals = chi2.sf(np.sum(r * r, axis=1), df=r.shape[1])
+            out.append(min(1.0, r.shape[0] * float(np.min(pvals))))
+        return np.array(out)
+
+    rng = np.random.default_rng(11)
+    # Single-draw curves expose each p-value uncapped and unscaled.
+    resid = [
+        rng.uniform(0.0, 3.0) * rng.standard_normal((1, int(rng.integers(1, 60))))
+        for _ in range(400)
+    ]
+    resid += [
+        rng.standard_normal((int(rng.integers(1, 40)), int(rng.integers(1, 30))))
+        for _ in range(50)
+    ]
+    resid += [
+        np.zeros((1, 5)),  # x = 0: p = 1
+        np.zeros((1, 1)),  # x = 0 at df = 1
+        np.array([[0.3]]),  # df = 1
+        np.array([[2.5], [1e-8]]),  # df = 1 over two draws
+        np.full((1, 1), 60.0),  # df = 1, p about 1e-783: underflows to 0
+        np.full((3, 40), 1e3),  # discrepancy 4e7: underflows to 0
+        np.array([[37.7]]),  # df = 1, p about 5e-311: a subnormal double
+    ]
+    got = pdm_pvalues(resid).pmin_vec
+    want = reference(resid)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[-7] == got[-6] == 1.0
+    assert got[-3] == got[-2] == 0.0
+    assert 0.0 < got[-1] < 2.2e-308
+
+
 def test_pdm_flags_inflated_residuals():
     rng = np.random.default_rng(1)
     good = [rng.normal(size=(100, 30)) for _ in range(8)]

@@ -1,0 +1,111 @@
+"""Start-up budget of the CLI: each command imports only what it runs.
+
+`simulate` and `diagnose` need neither the samplers nor the regression
+protocol, so they must start without the scipy subpackages those bring in.
+The checks run in fresh interpreters, since this test process has long
+imported everything.
+"""
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gpcurve
+from gpcurve import cli
+
+HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+PACKAGE_DIR = Path(gpcurve.__file__).resolve().parent
+
+# Runs `cli.main` on the given arguments (none: import only) and prints, on
+# its last line, the exit code and which of HEAVY were imported.
+PROBE = f"""
+import json, sys
+from gpcurve import cli
+rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({{"rc": rc, "loaded": [m for m in {HEAVY!r} if m in sys.modules]}}))
+"""
+
+
+def _env() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    src = str(PACKAGE_DIR.parent)
+    return dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+
+
+def _run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=_env(), capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _probe(cwd: Path, *argv: str) -> dict:
+    report = json.loads(_run(["-c", PROBE, *argv], cwd).stdout.splitlines()[-1])
+    assert report["rc"] == cli.EXIT_OK
+    return report
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("startup")
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_subpackage(workdir):
+    assert _probe(workdir)["loaded"] == []
+
+
+def test_simulate_and_diagnose_load_no_heavy_scipy_subpackage(workdir):
+    sim = _probe(workdir, "simulate", "--out", "data.json", "--n", "6", "--p", "10", "--seed", "2")
+    assert sim["loaded"] == []
+    # The fit comes from `python -m gpcurve.cli`, the entry point that runs
+    # the module as __main__, whose deferred callees must resolve as well.
+    _run(
+        [
+            "-m", "gpcurve.cli", "smooth", "--data", "data.json", "--out", "fit.json",
+            "--smethod", "bhm", "--M", "40", "--Burnin", "10", "--chains", "2",
+            "--resid-thin", "2", "--seed", "2",
+        ],
+        workdir,
+    )
+    diag = _probe(workdir, "diagnose", "fit.json", "--data", "data.json")
+    assert diag["loaded"] == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_imports_scipy_stats():
+    sources = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert sources
+    offenders = [
+        path.name
+        for path in sources
+        if any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in _imported_modules(path))
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("name", sorted(cli._DEFERRED))
+def test_deferred_callee_is_the_function_in_its_home_module(name):
+    home = importlib.import_module(cli._DEFERRED[name])
+    assert getattr(cli, name) is getattr(home, name)
+
+
+def test_unknown_cli_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_callee"):
+        cli.no_such_callee  # noqa: B018
