@@ -346,14 +346,41 @@ def save_results(
     _atomic_write_json(path, payload)
 
 
+# The estimates that `diagnose` and `regress` read, per method.
+_READ_ESTIMATES = {
+    "bhm": ("Z", "Z_CL", "Z_UL", "pmin_vec"),
+    "babf": ("Zt", "Zt_CL", "Zt_UL", "pmin_vec"),
+}
+
+
 def load_results(path) -> dict:
-    """Read a results file; returns the payload with the grid as an array."""
+    """Read a results file; returns the payload with the grid as an array.
+
+    Raises ``ValueError`` naming the file and the key when the method, the
+    grid, the estimates or one of the estimates the CLI reads is missing.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not a results file: expected a JSON object")
     _check_format(payload, RESULTS_FORMAT, path)
+    for key in ("method", "grid", "estimates"):
+        if payload.get(key) is None:
+            raise ValueError(f"{path} has no {key!r}")
+    method = payload["method"]
+    if method not in _READ_ESTIMATES:
+        raise ValueError(
+            f"{path} has method {method!r}, expected one of {sorted(_READ_ESTIMATES)}"
+        )
+    est = payload["estimates"]
+    if not isinstance(est, dict):
+        raise ValueError(f"{path} has no 'estimates' object")
+    for key in _READ_ESTIMATES[method]:
+        if est.get(key) is None:
+            raise ValueError(f"{path} has no estimate {key!r} ({method} results)")
     payload["grid"] = np.asarray(payload["grid"], dtype=float)
     payload["_path"] = path
     return payload

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,13 +17,52 @@ __all__ = [
     "retained_bytes",
     "scalar_summary",
     "summarize_draws",
+    "unpack_lower",
 ]
 
 BAND_PROBS = (0.025, 0.975)
 
-# Working memory for one block of grid-space draws when a band or a
-# covariance diagonal is derived from coefficient draws.
+# Working memory for one block of draws: the band work buffer, or the
+# grid-space images behind a covariance diagonal.
 CHUNK_BYTES = 1 << 24
+
+
+@lru_cache(maxsize=32)
+def _pack_index(K: int) -> np.ndarray:
+    """Flat positions in a K x K matrix of its lower triangle, row by row
+    (the order of ``np.tril_indices``)."""
+    rows, cols = np.tril_indices(K)
+    index = rows * K + cols
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=32)
+def _unpack_index(K: int) -> np.ndarray:
+    """Packed position of every entry of a K x K symmetric matrix."""
+    rows, cols = np.tril_indices(K)
+    index = np.empty((K, K), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _packed_dim(size: int) -> int:
+    K = (math.isqrt(8 * size + 1) - 1) // 2
+    if K * (K + 1) // 2 != size:
+        raise ValueError(f"{size} entries are not a packed lower triangle")
+    return K
+
+
+def unpack_lower(packed) -> np.ndarray:
+    """Symmetric (..., K, K) matrices from their lower triangles packed row
+    by row, as :meth:`Draws.record` keeps them; bit for bit the matrices
+    recorded."""
+    packed = np.asarray(packed)
+    K = _packed_dim(packed.shape[-1])
+    full = np.take(packed, _unpack_index(K), axis=-1, mode="clip")
+    return full.reshape(*packed.shape[:-1], K, K)
 
 
 def physical_memory_bytes() -> int | None:
@@ -34,9 +75,9 @@ def physical_memory_bytes() -> int | None:
 
 def retained_bytes(n: int, K: int, curve_sizes, ndraws: int, n_resid: int) -> int:
     """Bytes :meth:`Draws.allocate` keeps: per draw the n x K coefficients,
-    the K mean, the K x K covariance and two scalars, plus the thinned
-    residuals."""
-    return 8 * ndraws * (n * K + K + K * K + 2) + 8 * n_resid * sum(curve_sizes)
+    the K mean, the K(K+1)/2 packed covariance and two scalars, plus the
+    thinned residuals."""
+    return 8 * ndraws * (n * K + K + K * (K + 1) // 2 + 2) + 8 * n_resid * sum(curve_sizes)
 
 
 @dataclass
@@ -45,10 +86,12 @@ class Draws:
     standardized residuals.
 
     ``coef`` holds each curve's coefficients (ndraws, n, K); ``mu`` and
-    ``Sigma`` are the mean and covariance in the same space.  Grid-space
-    draws are their linear images through ``basis`` (evaluation points x
-    K); ``None`` is the identity, as for the full-grid sampler, whose
-    coefficients are the pooled-grid values.
+    ``Sigma`` are the mean and covariance in the same space.  Each
+    covariance draw is symmetric and kept as its packed lower triangle,
+    so ``Sigma`` is (ndraws, K(K+1)/2); :func:`unpack_lower` restores the
+    matrices.  Grid-space draws are their linear images through ``basis``
+    (evaluation points x K); ``None`` is the identity, as for the
+    full-grid sampler, whose coefficients are the pooled-grid values.
     """
 
     coef: np.ndarray
@@ -88,7 +131,7 @@ class Draws:
         return cls(
             coef=np.empty((ndraws, n, K)),
             mu=np.empty((ndraws, K)),
-            Sigma=np.empty((ndraws, K, K)),
+            Sigma=np.empty((ndraws, K * (K + 1) // 2)),
             precision=np.empty(ndraws),
             sigma_s2=np.empty(ndraws),
             resid=[np.empty((n_resid, m)) for m in curve_sizes],
@@ -102,14 +145,16 @@ class Draws:
         """Keep sweep ``it``'s state unless it is a burn-in sweep.
 
         ``resid`` returns the per-curve standardized residuals; it is called
-        on every ``resid_thin``-th retained sweep only.
+        on every ``resid_thin``-th retained sweep only.  ``Sigma`` must be
+        symmetric, as :attr:`SpdMatrix.mat` is: only its lower triangle is
+        kept.
         """
         k = it - self.burnin
         if k < 0:
             return
         self.coef[k] = coef
         self.mu[k] = mu
-        self.Sigma[k] = Sigma
+        np.take(Sigma, _pack_index(Sigma.shape[0]), out=self.Sigma[k], mode="clip")
         self.precision[k] = precision
         self.sigma_s2[k] = sigma_s2
         if (k + 1) % self.resid_thin == 0:
@@ -124,39 +169,115 @@ class Draws:
     def grid_sigma_diag(self) -> np.ndarray:
         """Covariance diagonal on the evaluation grid per draw, (ndraws, E),
         as rowsum(B Sigma o B) over blocks of draws."""
+        K = self.coef.shape[2]
         if self.basis is None:
-            diag = np.arange(self.Sigma.shape[1])
-            return self.Sigma[:, diag, diag]
+            rows = np.arange(K)
+            return self.Sigma[:, rows * (rows + 3) // 2]
         B = self.basis
         out = np.empty((self.Sigma.shape[0], B.shape[0]))
-        step = max(1, CHUNK_BYTES // (8 * B.size))
+        # A block's unpacked draws and their images share one CHUNK_BYTES.
+        step = max(1, CHUNK_BYTES // (8 * (B.size + K * K)))
+        images = np.empty((min(step, out.shape[0]),) + B.shape)
         for k in range(0, out.shape[0], step):
-            out[k : k + step] = np.sum((B @ self.Sigma[k : k + step]) * B, axis=2)
+            block = self.Sigma[k : k + step]
+            image = np.matmul(B, unpack_lower(block), out=images[: block.shape[0]])
+            image *= B
+            out[k : k + step] = np.sum(image, axis=2)
         return out
 
 
-def credible_band(draws: np.ndarray, left=None, right=None):
-    """Pointwise 95% credible band of the draws ``left @ draws[k] @ right.T``.
-
-    ``draws`` is (ndraws, R, C); ``None`` for ``left`` or ``right`` is the
-    identity.  The image draws are formed and reduced block by block, so no
-    more than about :data:`CHUNK_BYTES` of them exist at once.
-    """
-    ndraws, _, inner = draws.shape
-    R = draws.shape[1] if left is None else left.shape[0]
-    C = draws.shape[2] if right is None else right.shape[0]
-    lo, hi = np.empty((R, C)), np.empty((R, C))
+def _block_shape(ndraws: int, R: int, C: int, inner: int) -> tuple[int, int]:
+    """Rows and columns of one block of band cells, about CHUNK_BYTES of
+    image draws."""
     cells = max(1, CHUNK_BYTES // (8 * ndraws))
     cols = min(C, cells)
-    # A row of ``left @ draws`` holds ``inner`` cells per draw.
+    # A row of the operand (the draws, or a left image of them) holds
+    # ``inner`` cells per draw.
     rows = max(1, cells // max(cols, inner))
+    return rows, cols
+
+
+def _band_work(ndraws: int, cells: int) -> np.ndarray:
+    """One band work buffer: room for the largest block of a band over at
+    most ``cells`` cells."""
+    return np.empty(ndraws * min(cells, max(1, CHUNK_BYTES // (8 * ndraws))))
+
+
+def _block(work: np.ndarray, ndraws: int, rows: int, cols: int) -> np.ndarray:
+    return work[: ndraws * rows * cols].reshape(ndraws, rows, cols)
+
+
+def _band_of_block(block: np.ndarray):
+    # The block is a fresh copy, so the quantile may reorder it in place.
+    return np.quantile(block, BAND_PROBS, axis=0, overwrite_input=True)
+
+
+def credible_band(draws: np.ndarray, right=None, work=None):
+    """Pointwise 95% credible band of the draws ``draws[k] @ right.T``.
+
+    ``draws`` is (ndraws, R, C); ``None`` for ``right`` is the identity.
+    The image draws are formed block by block in ``work``, a flat buffer
+    of about :data:`CHUNK_BYTES` (allocated when not given), so no more
+    than one block of them exists at once.
+    """
+    ndraws, R, inner = draws.shape
+    C = inner if right is None else right.shape[0]
+    rows, cols = _block_shape(ndraws, R, C, inner)
+    if work is None:
+        work = np.empty(ndraws * rows * cols)
+    lo, hi = np.empty((R, C)), np.empty((R, C))
     for r in range(0, R, rows):
         rs = slice(r, r + rows)
-        part = draws[:, rs] if left is None else left[rs] @ draws
+        part = draws[:, rs]
         for c in range(0, C, cols):
             cs = slice(c, c + cols)
-            block = part[:, :, cs] if right is None else part @ right[cs].T
-            lo[rs, cs], hi[rs, cs] = np.quantile(block, BAND_PROBS, axis=0)
+            block = _block(work, ndraws, part.shape[1], min(cols, C - c))
+            if right is None:
+                np.copyto(block, part[:, :, cs])
+            else:
+                np.matmul(part, right[cs].T, out=block)
+            lo[rs, cs], hi[rs, cs] = _band_of_block(block)
+    return lo, hi
+
+
+def _sigma_band(packed: np.ndarray, basis, work):
+    """Pointwise 95% band of the covariance draws ``B Sigma_k B^T`` from
+    their packed lower triangles; ``None`` for ``basis`` is the identity.
+
+    Without a basis the band runs over the packed cells and is mirrored.
+    With one, each row block's images ``B[rows] Sigma_k`` come from a few
+    unpacked draws at a time, so the full K x K draws never exist together.
+    """
+    if basis is None:
+        lo, hi = credible_band(packed[:, None, :], work=work)
+        return unpack_lower(lo[0]), unpack_lower(hi[0])
+    ndraws = packed.shape[0]
+    E, K = basis.shape
+    rows, cols = _block_shape(ndraws, E, E, K)
+    # Draws unpacked at once: a sixteenth of a block.
+    step = max(1, CHUNK_BYTES // (16 * 8 * K * K))
+
+    def left_images(rs):
+        for d in range(0, ndraws, step):
+            yield slice(d, d + step), basis[rs] @ unpack_lower(packed[d : d + step])
+
+    lo, hi = np.empty((E, E)), np.empty((E, E))
+    for r in range(0, E, rows):
+        rs = slice(r, r + rows)
+        nrows = min(rows, E - r)
+        images = left_images(rs)
+        if cols < E:
+            # Every column block reuses this row block's left images.
+            part = np.empty((ndraws, nrows, K))
+            for ds, image in images:
+                part[ds] = image
+            images = [(slice(None), part)]
+        for c in range(0, E, cols):
+            cs = slice(c, c + cols)
+            block = _block(work, ndraws, nrows, min(cols, E - c))
+            for ds, image in images:
+                np.matmul(image, basis[cs].T, out=block[ds])
+            lo[rs, cs], hi[rs, cs] = _band_of_block(block)
     return lo, hi
 
 
@@ -167,18 +288,22 @@ def summarize_draws(draws: Draws, basis=None) -> dict[str, np.ndarray]:
 
     With ``basis`` (E x K) these summarize the grid-space draws B zeta,
     B mu and B Sigma B^T: means exactly as B times the coefficient means,
-    bands from the image draws in blocks (:func:`credible_band`).
+    bands from the image draws in blocks.  Every band shares one work
+    buffer of about :data:`CHUNK_BYTES`.
     """
+    ndraws, n, K = draws.coef.shape
+    E = K if basis is None else basis.shape[0]
     z = draws.coef.mean(axis=0)
     mu = draws.mu.mean(axis=0)
-    sigma = draws.Sigma.mean(axis=0)
+    sigma = unpack_lower(draws.Sigma.mean(axis=0))
     if basis is not None:
         z = z @ basis.T
         mu = basis @ mu
         sigma = basis @ sigma @ basis.T
-    z_cl, z_ul = credible_band(draws.coef, right=basis)
-    mu_cl, mu_ul = credible_band(draws.mu[:, None, :], right=basis)
-    sigma_cl, sigma_ul = credible_band(draws.Sigma, basis, basis)
+    work = _band_work(ndraws, max(n, E) * E)
+    z_cl, z_ul = credible_band(draws.coef, right=basis, work=work)
+    mu_cl, mu_ul = credible_band(draws.mu[:, None, :], right=basis, work=work)
+    sigma_cl, sigma_ul = _sigma_band(draws.Sigma, basis, work)
     dev = z - z.mean(axis=0)
     return dict(
         Z=z,

@@ -13,11 +13,12 @@ from gpcurve.babf import (
     babf_step_scale,
     build_babf_context,
 )
+from gpcurve.bhm import bhm_run
 from gpcurve.bsplines import WorkingGrid, build_basis, select_working_grid
 from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd, sim_gfd_rgrid
 from gpcurve.empirical import HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.kernels import CovarianceModel
-from gpcurve.results import retained_bytes
+from gpcurve.results import retained_bytes, unpack_lower
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
@@ -224,7 +225,7 @@ def test_run_shapes_determinism_and_reconstruction():
     np.testing.assert_allclose(draws_a.basis, b_eval, atol=1e-14)
     z = draws_a.coef @ b_eval.T
     mu = draws_a.mu @ b_eval.T
-    sigma = b_eval @ draws_a.Sigma @ b_eval.T
+    sigma = b_eval @ unpack_lower(draws_a.Sigma) @ b_eval.T
     probs = (0.025, 0.975)
     np.testing.assert_allclose(res_a.Z, z.mean(axis=0), rtol=0, atol=1e-12)
     np.testing.assert_allclose(res_a.mu, mu.mean(axis=0), rtol=0, atol=1e-12)
@@ -279,15 +280,19 @@ def test_retained_draws_do_not_grow_with_the_evaluation_grid():
     assert kept[400] - kept[10] == (400 - 10) * 6 * 8
 
 
-def test_memory_guard_estimate_is_what_the_draws_keep():
+@pytest.mark.parametrize("method", ["babf", "bhm"])
+def test_memory_guard_estimate_is_what_the_draws_keep(method):
     data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
-    draws, _ = babf_run(
-        data, L=6, domain=DOMAIN, M=50, burnin=20, rng=RngStream(3), resid_thin=4,
-        hyper_kwargs={"ws": 1.0}, summarize=False,
-    )
+    common = dict(M=50, burnin=20, rng=RngStream(3), resid_thin=4, summarize=False)
+    if method == "babf":
+        draws, _ = babf_run(data, L=6, domain=DOMAIN, hyper_kwargs={"ws": 1.0}, **common)
+    else:
+        draws, _ = bhm_run(data, build_hyperparams(empirical_estimates(data)), **common)
+    K = draws.coef.shape[2]
+    assert draws.Sigma.shape == (30, K * (K + 1) // 2)
     kept = sum(a.nbytes for name, a in _draw_arrays(draws) if name != "basis")
     sizes = [c.grid.size for c in data.curves]
-    assert kept == retained_bytes(5, 6, sizes, ndraws=30, n_resid=7)
+    assert kept == retained_bytes(5, K, sizes, ndraws=30, n_resid=7)
 
 
 def test_default_pooled_eval_grid_keeps_only_the_basis_on_its_axis():

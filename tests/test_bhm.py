@@ -313,19 +313,21 @@ def test_run_without_summaries_keeps_the_same_draws(cgrid):
 
 def test_summaries_equal_whole_array_reductions_bit_for_bit(monkeypatch):
     from gpcurve import results
+    from gpcurve.results import summarize_draws, unpack_lower
 
     data = sim_gfd(SimConfig(n=5, p=11, seed=9, cgrid=False))
     hyper = _hyper_for(data)
     ndraws = 40
-    # Blocks of 7 cells: 11 pooled points and 11 x 11 covariance entries
+    # Blocks of 7 cells: 11 pooled points and 66 packed covariance entries
     # split into uneven blocks.
     monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 7)
     draws, res = bhm_run(data, hyper, M=ndraws + 20, burnin=20, rng=RngStream(5))
+    sigma = unpack_lower(draws.Sigma)
     probs = (0.025, 0.975)
     for got, arr in (
         ((res.Z, res.Z_CL, res.Z_UL), draws.coef),
         ((res.mu, *res.mu_CI), draws.mu),
-        ((res.Sigma, res.Sigma_CL, res.Sigma_UL), draws.Sigma),
+        ((res.Sigma, res.Sigma_CL, res.Sigma_UL), sigma),
     ):
         np.testing.assert_array_equal(got[0], arr.mean(axis=0))
         lo, hi = np.quantile(arr, probs, axis=0)
@@ -333,7 +335,41 @@ def test_summaries_equal_whole_array_reductions_bit_for_bit(monkeypatch):
         np.testing.assert_array_equal(got[2], hi)
     diag = np.arange(data.pooled_grid.size)
     np.testing.assert_array_equal(draws.grid_mu(), draws.mu)
-    np.testing.assert_array_equal(draws.grid_sigma_diag(), draws.Sigma[:, diag, diag])
+    np.testing.assert_array_equal(draws.grid_sigma_diag(), sigma[:, diag, diag])
+
+    # Through a basis, the bands are those of the unpacked image draws.
+    # Blocks of three rows (the image of a single row is a matrix-vector
+    # product, rounded differently) split the five curves unevenly.
+    E = 12
+    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 3 * E)
+    basis = np.random.default_rng(2).standard_normal((E, data.pooled_grid.size))
+    got = summarize_draws(draws, basis)
+    for summary, image, mean in (
+        (
+            (got["Z"], got["Z_CL"], got["Z_UL"]),
+            draws.coef @ basis.T,
+            draws.coef.mean(axis=0) @ basis.T,
+        ),
+        (
+            (got["mu"], *got["mu_CI"]),
+            (draws.mu[:, None, :] @ basis.T)[:, 0],
+            basis @ draws.mu.mean(axis=0),
+        ),
+        (
+            (got["Sigma"], got["Sigma_CL"], got["Sigma_UL"]),
+            basis @ sigma @ basis.T,
+            basis @ sigma.mean(axis=0) @ basis.T,
+        ),
+    ):
+        np.testing.assert_array_equal(summary[0], mean)
+        lo, hi = np.quantile(image, probs, axis=0)
+        np.testing.assert_array_equal(summary[1], lo)
+        np.testing.assert_array_equal(summary[2], hi)
+    with_basis = dataclasses.replace(draws, basis=basis)
+    np.testing.assert_array_equal(with_basis.grid_mu(), draws.mu @ basis.T)
+    np.testing.assert_array_equal(
+        with_basis.grid_sigma_diag(), np.sum((basis @ sigma) * basis, axis=2)
+    )
 
 
 def test_posterior_mean_beats_raw_data():

@@ -153,6 +153,28 @@ def test_diagnose_rejects_mixed_methods(tmp_path, dataset, bhm_results, capsys):
     assert "mix methods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, key",
+    [(None, "estimates"), (None, "method"), ("estimates", "pmin_vec"), ("estimates", "Z")],
+)
+@pytest.mark.parametrize("command", ["diagnose", "regress"])
+def test_results_missing_a_key_exit_2_naming_the_file_and_key(
+    tmp_path, dataset, bhm_results, capsys, command, where, key
+):
+    payload = json.loads(bhm_results.read_text())
+    del (payload if where is None else payload[where])[key]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    argv = {
+        "diagnose": ("diagnose", str(broken)),
+        "regress": ("regress", "--data", str(dataset), "--results", str(broken)),
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert str(broken) in err and repr(key) in err, err
+
+
 def test_exit_codes(tmp_path, dataset, capsys):
     out = str(tmp_path / "x.json")
     data = str(dataset)
