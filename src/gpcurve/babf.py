@@ -225,11 +225,16 @@ def babf_step_noise(state: BabfState, ctx: BabfContext, rng: RngStream) -> tuple
 
 def babf_step_scale(state: BabfState, ctx: BabfContext, rng: RngStream) -> float:
     """Draw the scale multiplier; the trace term uses the identity
-    tr(A(tau,tau) Sigma_Z(tau,tau)^-1) = tr(B^-1 A B^-T Sigma_zeta^-1)."""
+    tr(A(tau,tau) Sigma_Z(tau,tau)^-1) = tr(B^-1 A B^-T Sigma_zeta^-1).
+
+    The trace is the dot product of the two symmetric matrices, taken with
+    Sigma_zeta's cached inverse, which the next sweep's coefficient step
+    reuses.
+    """
     L = ctx.tau.size
     delta = ctx.hyper.delta
     shape = ctx.hyper.a_s + L * (delta + L - 1.0) / 2.0
-    rate = ctx.hyper.b_s + float(np.trace(state.Sigma_zeta.solve(ctx.prior_base))) / 2.0
+    rate = ctx.hyper.b_s + float(np.vdot(state.Sigma_zeta.inverse(), ctx.prior_base)) / 2.0
     return float(sample_gamma(shape, rate, rng))
 
 

@@ -268,11 +268,16 @@ def bhm_step_cov(state: BhmState, ctx: BhmContext, rng: RngStream) -> SpdMatrix:
 
 
 def bhm_step_scale(state: BhmState, ctx: BhmContext, rng: RngStream) -> float:
-    """Draw the inverse-Wishart scale multiplier from its Gamma conditional."""
+    """Draw the inverse-Wishart scale multiplier from its Gamma conditional.
+
+    The trace tr(Sigma^-1 A) is the dot product of the two symmetric
+    matrices, taken with Sigma's cached inverse, which the next sweep's
+    common-grid signal step reuses.
+    """
     p = ctx.p
     delta = ctx.hyper.delta
     shape = ctx.hyper.a_s + p * (delta + p - 1.0) / 2.0
-    rate = ctx.hyper.b_s + float(np.trace(state.Sigma.solve(ctx.A))) / 2.0
+    rate = ctx.hyper.b_s + float(np.vdot(state.Sigma.inverse(), ctx.A)) / 2.0
     return float(sample_gamma(shape, rate, rng))
 
 

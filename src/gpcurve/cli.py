@@ -26,6 +26,7 @@ from gpcurve.diagnostics import (
     accuracy,
     coverage,
     interpret_pmin,
+    monitored_indices,
     monitored_scalars,
     psrf,
 )
@@ -196,10 +197,10 @@ def cmd_smooth(args) -> int:
             **run_kwargs,
         )
         if not args.no_draws:
+            mu = draws.grid_mu()
+            sigma_diag = draws.grid_sigma_diag(monitored_indices(mu.shape[1]))
             names, mat = _monitored_matrix(
-                monitored_scalars(
-                    draws.precision, draws.sigma_s2, draws.grid_mu(), draws.grid_sigma_diag()
-                )
+                monitored_scalars(draws.precision, draws.sigma_s2, mu, sigma_diag)
             )
             sidecar[f"monitored_chain{chain}.bin"] = {"matrix": mat, "names": names}
             if chain == 0:

@@ -13,6 +13,7 @@ __all__ = [
     "accuracy",
     "coverage",
     "interpret_pmin",
+    "monitored_indices",
     "monitored_scalars",
     "pdm_pvalues",
     "psrf",
@@ -21,6 +22,9 @@ __all__ = [
 # Evidence-of-inadequacy bands for the goodness-of-fit p-values.
 PMIN_NONE = 0.25
 PMIN_STRONG = 0.05
+
+# Grid quantiles at which the mean and the covariance diagonal are monitored.
+MONITORED_QUANTILES = (0.25, 0.5, 0.75)
 
 
 def psrf(chains) -> float:
@@ -114,31 +118,40 @@ def coverage(lower, upper, truth) -> float:
     return float(np.mean((truth >= lower) & (truth <= upper)))
 
 
+def monitored_indices(p: int) -> list[int]:
+    """Grid indices, ascending, at which :func:`monitored_scalars` tracks
+    the mean and the covariance diagonal of a p-point grid."""
+    return sorted({int(round(q * (p - 1))) for q in MONITORED_QUANTILES})
+
+
 def monitored_scalars(
     precision: np.ndarray,
     sigma_s2: np.ndarray,
     mu: np.ndarray,
-    sigma_diag_or_sigma: np.ndarray,
-    quantiles=(0.25, 0.5, 0.75),
+    sigma_diag: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Named scalar chains used for convergence monitoring.
 
     Tracks the noise precision, the covariance scale, and the mean and
-    covariance diagonal at three grid quantiles.
+    covariance diagonal at three grid quantiles. ``mu`` holds the mean draws
+    on the whole p-point grid, (ndraws, p); ``sigma_diag`` the covariance
+    diagonal at the monitored points alone, (ndraws, len(monitored_indices(p))),
+    as ``Draws.grid_sigma_diag(monitored_indices(p))`` returns it.
     """
     mu = np.asarray(mu, dtype=float)
-    sig = np.asarray(sigma_diag_or_sigma, dtype=float)
-    if sig.ndim == 3:
-        diag = np.arange(sig.shape[1])
-        sig = sig[:, diag, diag]
-    p = mu.shape[1]
-    idx = sorted({int(round(q * (p - 1))) for q in quantiles})
+    sig = np.asarray(sigma_diag, dtype=float)
+    idx = monitored_indices(mu.shape[1])
+    if sig.shape[1] != len(idx):
+        raise ValueError(
+            f"covariance diagonal has {sig.shape[1]} columns; expected the "
+            f"{len(idx)} monitored grid points {idx}"
+        )
     out = {
         "noise_precision": np.asarray(precision, dtype=float),
         "sigma_s2": np.asarray(sigma_s2, dtype=float),
     }
     for j in idx:
         out[f"mu[{j}]"] = mu[:, j]
-    for j in idx:
-        out[f"Sigma[{j},{j}]"] = sig[:, j]
+    for j, col in zip(idx, sig.T):
+        out[f"Sigma[{j},{j}]"] = col
     return out

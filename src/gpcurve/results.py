@@ -166,13 +166,27 @@ class Draws:
         """Mean draws on the evaluation grid, (ndraws, E)."""
         return self.mu if self.basis is None else self.mu @ self.basis.T
 
-    def grid_sigma_diag(self) -> np.ndarray:
+    def grid_sigma_diag(self, columns=None) -> np.ndarray:
         """Covariance diagonal on the evaluation grid per draw, (ndraws, E),
-        as rowsum(B Sigma o B) over blocks of draws."""
+        as rowsum(B Sigma o B) over blocks of draws; or at the evaluation
+        points ``columns`` only, (ndraws, len(columns)).
+
+        Through a basis, point e's variance b_e Sigma b_e^T is a weighted sum
+        of the packed cells, weight b_ek b_el (doubled off the diagonal), so
+        a few columns are one product of the packed draws with those weights
+        and no draw is unpacked. They agree with the whole-grid columns to
+        rounding, not bit for bit.
+        """
         K = self.coef.shape[2]
         if self.basis is None:
-            rows = np.arange(K)
+            rows = np.arange(K) if columns is None else np.asarray(columns, dtype=np.intp)
             return self.Sigma[:, rows * (rows + 3) // 2]
+        if columns is not None:
+            B = self.basis[columns]
+            rows, cols = np.tril_indices(K)
+            weights = B[:, rows] * B[:, cols]
+            weights[:, rows != cols] *= 2.0
+            return self.Sigma @ weights.T
         B = self.basis
         out = np.empty((self.Sigma.shape[0], B.shape[0]))
         # A block's unpacked draws and their images share one CHUNK_BYTES.

@@ -3,13 +3,14 @@
 Every stochastic routine in the package draws through :class:`RngStream`,
 so a (seed, stream id) pair pins the full output of a run.  Dense
 covariance matrices travel as :class:`SpdMatrix`, which carries the lower
-Cholesky factor and records any diagonal ridge that was needed to factor.
+Cholesky factor, records any diagonal ridge that was needed to factor, and
+caches its inverse once asked for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,12 +37,14 @@ __all__ = [
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 
-# Raw LAPACK Cholesky factor, Cholesky solve and triangular solve.  The
-# scipy.linalg wrappers' per-call dispatch costs more than the arithmetic at
-# the sizes a Gibbs sweep works on, so the samplers call these directly with
-# the arguments scipy.linalg would pass (the same bits come out) and do the
-# input checks themselves (finite inputs, the ``info`` codes).
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
+# Raw LAPACK Cholesky factor, Cholesky solve, triangular solve and
+# triangular inverse.  The scipy.linalg wrappers' per-call dispatch costs more
+# than the arithmetic at the sizes a Gibbs sweep works on, so the samplers call
+# these directly with the arguments scipy.linalg would pass (the same bits come
+# out) and do the input checks themselves (finite inputs, the ``info`` codes).
+_potrf, _potrs, _trtrs, _trtri = get_lapack_funcs(
+    ("potrf", "potrs", "trtrs", "trtri"), dtype=np.float64
+)
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -192,11 +195,16 @@ class SpdMatrix:
     ``mat`` stores the (possibly ridged) matrix so that
     ``chol @ chol.T == mat`` up to rounding; ``jitter`` records the ridge
     that was added to make the factorization succeed.
+
+    :meth:`inverse` is computed from ``chol`` on first use and cached on
+    the instance, so an instance must not be mutated: a changed ``mat`` or
+    ``chol`` needs a new :class:`SpdMatrix`.
     """
 
     mat: np.ndarray
     chol: np.ndarray
     jitter: float = 0.0
+    _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, mat, name: str = "matrix", sym_tol: float = 1e-12) -> "SpdMatrix":
@@ -227,10 +235,19 @@ class SpdMatrix:
         return cho_solve_lower(self.chol, b)
 
     def inverse(self) -> np.ndarray:
-        # A solve against the identity rather than LAPACK potri, whose
-        # rounding differs.
-        inv = cho_solve_lower(self.chol, np.eye(self.dim))
-        return (inv + inv.T) / 2.0
+        """``mat^-1`` as ``G^T G`` with ``G = chol^-1`` (LAPACK ``trtri``),
+        exactly symmetric.  Computed once; every call returns the same
+        read-only array."""
+        if self._inverse is None:
+            _check_finite(self.chol)
+            g, info = _trtri(self.chol, lower=1)
+            _lapack_info(info, "trtri")
+            if info:
+                raise np.linalg.LinAlgError(f"singular factor: zero at diagonal {info - 1}")
+            inv = g.T @ g
+            inv.setflags(write=False)
+            self._inverse = inv
+        return self._inverse
 
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
@@ -293,12 +310,23 @@ def sample_mvn_canonical(prec: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.n
 
 
 def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
-    """Inverse-Wishart draw in the grid-size-free shape parameterization.
+    """Inverse-Wishart draw in the grid-size-free shape parameterization,
+    returned with its exact lower Cholesky factor.
 
     ``delta`` controls tail weight independently of the dimension: the
     draw has mean ``scale.mat / (delta - 2)`` whenever ``delta > 2``, for
     any dimension.  Internally the draw uses degrees of freedom
-    ``delta + p - 1`` through a Bartlett factor.
+    ``dof = delta + p - 1``.
+
+    The draw goes through the upper Bartlett factor U of W ~ Wishart(dof, I),
+    W = U U^T (Smith & Hocking 1972, with the coordinates reversed): U has
+    the diagonal sqrt(chi2(dof - p + 1 + k)), k = 0 .. p - 1, drawn first in
+    one call, then one standard normal per entry above the diagonal, row by
+    row.  With L the lower factor of the scale, T = L U^-T (one triangular
+    solve) is lower-triangular with a positive diagonal and
+    Sigma = T T^T ~ IW(dof, L L^T), so T is Sigma's Cholesky factor and no
+    factorization is needed.  ``mat`` is formed as ``chol @ chol.T``, which
+    is exactly symmetric.
     """
     gen = _generator(rng)
     if not isinstance(scale, SpdMatrix):
@@ -307,23 +335,20 @@ def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
         raise ValueError(f"delta must exceed 2 so the mean exists, got {delta}")
     p = scale.dim
     dof = delta + p - 1.0
-    # Bartlett factor A of a Wishart(dof, I) draw: X = (L A^{-T}) (L A^{-T})^T
-    # is then inverse-Wishart with the requested scale, L = chol(scale).
-    a = np.zeros((p, p))
-    diag_df = dof - np.arange(p)
-    a[np.diag_indices(p)] = np.sqrt(gen.chisquare(diag_df))
+    u = np.zeros((p, p), order="F")
+    u[np.diag_indices(p)] = np.sqrt(gen.chisquare(dof - p + 1.0 + np.arange(p)))
     if p > 1:
-        rows, cols = _strict_lower_indices(p)
-        a[rows, cols] = gen.standard_normal(rows.size)
-    # Y = A^{-1} L^T, so X = Y^T Y.  The C-ordered lower A goes to LAPACK as
-    # the Fortran-ordered upper A^T, as scipy.linalg.solve_triangular passes it.
-    y = solve_triangular(a.T, scale.chol.T, lower=False, trans=True)
-    return SpdMatrix.from_matrix(y.T @ y, name="inverse-Wishart draw")
+        rows, cols = _strict_upper_indices(p)
+        u[rows, cols] = gen.standard_normal(rows.size)
+    # U T^T = L^T, so T^T = U^-1 L^T is upper-triangular.
+    chol = solve_triangular(u, scale.chol.T, lower=False, trans=False).T
+    _check_finite(chol)
+    return SpdMatrix(mat=chol @ chol.T, chol=chol)
 
 
 @lru_cache(maxsize=32)
-def _strict_lower_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.tril_indices(p, k=-1)
+def _strict_upper_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.triu_indices(p, k=1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 

@@ -173,6 +173,16 @@ def batch_means_se(chain: np.ndarray, nbatch: int = 20) -> np.ndarray:
     return batches.mean(axis=1).std(axis=0, ddof=1) / np.sqrt(nbatch)
 
 
+def iw_entry_moments(scale: np.ndarray, dpost: float, i: int, j: int):
+    """Mean and variance of one inverse-Wishart entry in the grid-size-free
+    parameterization (dpost plays the role of delta after conditioning)."""
+    mean = scale[i, j] / (dpost - 2.0)
+    var = (dpost * scale[i, j] ** 2 + (dpost - 2.0) * scale[i, i] * scale[j, j]) / (
+        (dpost - 1.0) * (dpost - 2.0) ** 2 * (dpost - 4.0)
+    )
+    return mean, var
+
+
 class MomentChecker:
     """Monte Carlo moment checks with empirical standard errors.
 

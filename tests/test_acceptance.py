@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import harness
-from harness import DOMAIN, SCENARIOS, STATIONARY, MomentChecker, record
+from harness import DOMAIN, SCENARIOS, STATIONARY, MomentChecker, iw_entry_moments, record
 
 from gpcurve.babf import (
     babf_run,
@@ -33,7 +33,7 @@ from gpcurve.bhm import (
 )
 from gpcurve.bsplines import build_basis, select_working_grid
 from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd, sim_gfd_rgrid
-from gpcurve.diagnostics import monitored_scalars, psrf
+from gpcurve.diagnostics import monitored_indices, monitored_scalars, psrf
 from gpcurve.empirical import HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.kernels import CovarianceModel, MaternParams, matern_cor
 from gpcurve.protocol import run_regression_protocol
@@ -193,16 +193,6 @@ def _babf_oracle_problem():
     return data, hyper, ctx, state
 
 
-def _iw_entry_moments(scale: np.ndarray, dpost: float, i: int, j: int):
-    """Mean and variance of one inverse-Wishart entry in the grid-size-free
-    parameterization (dpost plays the role of delta after conditioning)."""
-    mean = scale[i, j] / (dpost - 2.0)
-    var = (dpost * scale[i, j] ** 2 + (dpost - 2.0) * scale[i, i] * scale[j, j]) / (
-        (dpost - 1.0) * (dpost - 2.0) ** 2 * (dpost - 4.0)
-    )
-    return mean, var
-
-
 def test_criterion_06_conjugate_oracles():
     chk = MomentChecker()
 
@@ -236,7 +226,7 @@ def test_criterion_06_conjugate_oracles():
     scale_mat = state.sigma_s2 * ctx.A + dev.T @ dev + hyper.c * np.outer(dmu, dmu)
     dpost = hyper.delta + n + 1.0
     for i, j in ((0, 0), (0, 1)):
-        m, v = _iw_entry_moments(scale_mat, dpost, i, j)
+        m, v = iw_entry_moments(scale_mat, dpost, i, j)
         chk.mean(f"cov[{i},{j}]", cov_draws[:, i, j], m)
         chk.var(f"cov[{i},{j}]", cov_draws[:, i, j], v)
 
@@ -289,7 +279,7 @@ def test_criterion_06_conjugate_oracles():
     scale_mat = state.sigma_s2 * ctx.prior_base + dev.T @ dev + hyper.c * np.outer(dmu, dmu)
     dpost = hyper.delta + n + 1.0
     for i, j in ((0, 0), (0, 1)):
-        m, v = _iw_entry_moments(scale_mat, dpost, i, j)
+        m, v = iw_entry_moments(scale_mat, dpost, i, j)
         chk.mean(f"coeff cov[{i},{j}]", cov_draws[:, i, j], m)
         chk.var(f"coeff cov[{i},{j}]", cov_draws[:, i, j], v)
     loc = (hyper.c * ctx.mu0_zeta + state.zeta.sum(axis=0)) / (hyper.c + n)
@@ -391,11 +381,9 @@ def test_criterion_09_two_chain_convergence():
             burnin=harness.BURNIN,
             rng=RngStream(99, stream_id=chain_id),
         )
-        chains.append(
-            monitored_scalars(
-                draws.precision, draws.sigma_s2, draws.grid_mu(), draws.grid_sigma_diag()
-            )
-        )
+        mu = draws.grid_mu()
+        sigma_diag = draws.grid_sigma_diag(monitored_indices(mu.shape[1]))
+        chains.append(monitored_scalars(draws.precision, draws.sigma_s2, mu, sigma_diag))
     values = {
         name: psrf(np.stack([chains[0][name], chains[1][name]])) for name in chains[0]
     }

@@ -103,8 +103,9 @@ def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
 
     gen = RngStream(2).generator
     n, p = ctx.n, ctx.p
-    inv = sla.cho_solve((state.Sigma.chol, True), np.eye(p))
-    sig_inv = (inv + inv.T) / 2.0
+    g, info = sla.lapack.dtrtri(state.Sigma.chol, lower=1)
+    assert info == 0
+    sig_inv = g.T @ g
     b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
     chol = sla.cholesky(sig_inv + np.eye(p) / state.sigma_eps2, lower=True)
     means = sla.cho_solve((chol, True), b.T).T

@@ -6,6 +6,7 @@ from gpcurve.diagnostics import (
     accuracy,
     coverage,
     interpret_pmin,
+    monitored_indices,
     monitored_scalars,
     pdm_pvalues,
     psrf,
@@ -153,7 +154,7 @@ def test_monitored_scalars_layout():
         rng.gamma(2.0, size=ndraws),
         rng.gamma(2.0, size=ndraws),
         rng.normal(size=(ndraws, p)),
-        rng.normal(size=(ndraws, p, p)),
+        rng.normal(size=(ndraws, 3)),
     )
     # Quantile indices on 9 points: rounds of 0.25/0.5/0.75 * 8.
     assert set(out) == {
@@ -167,8 +168,19 @@ def test_monitored_scalars_layout():
         "Sigma[6,6]",
     }
     assert all(v.shape == (ndraws,) for v in out.values())
-    # A diagonal matrix input (already extracted) is accepted too.
+    # The covariance diagonal comes at the monitored points, in their order.
     diag = monitored_scalars(
-        np.ones(5), np.ones(5), np.zeros((5, p)), np.arange(5.0 * p).reshape(5, p)
+        np.ones(5), np.ones(5), np.zeros((5, p)), np.arange(15.0).reshape(5, 3)
     )
-    np.testing.assert_array_equal(diag["Sigma[4,4]"], np.arange(5.0) * p + 4.0)
+    np.testing.assert_array_equal(diag["Sigma[4,4]"], np.arange(5.0) * 3 + 1.0)
+
+
+def test_monitored_indices_and_a_diagonal_of_the_wrong_width():
+    assert monitored_indices(9) == [2, 4, 6]
+    assert monitored_indices(3) == [0, 1, 2]
+    assert monitored_indices(2) == [0, 1]
+    ndraws, p = 5, 9
+    full = np.arange(ndraws * p, dtype=float).reshape(ndraws, p)
+    mu = np.zeros((ndraws, p))
+    with pytest.raises(ValueError, match="9 columns"):
+        monitored_scalars(np.ones(ndraws), np.ones(ndraws), mu, full)

@@ -1,12 +1,18 @@
-"""Working memory of the posterior summaries."""
+"""Working memory of the posterior summaries and the monitored covariance
+diagonal."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpcurve import results
+from gpcurve.babf import babf_run
+from gpcurve.datagen import SimConfig, sim_gfd_rgrid
+from gpcurve.diagnostics import monitored_indices
 from gpcurve.results import Draws, summarize_draws
+from gpcurve.stochastic import RngStream
 
 
 def random_draws(ndraws, n, K, seed=0):
@@ -46,3 +52,43 @@ def test_summaries_allocate_their_outputs_and_one_work_block(monkeypatch, with_b
     # One band work block, plus a few unpacked covariance draws and Python
     # objects within a quarter block.
     assert peak - outputs <= results.CHUNK_BYTES * 5 // 4
+
+
+def test_monitored_sigma_diagonal_equals_the_full_grid_columns():
+    # A babf run's B-spline basis on 40 evaluation points: the covariance
+    # diagonal at the monitored points alone equals those columns of the
+    # full-grid diagonal, rowsum(B Sigma o B) of the unpacked draws.
+    data = sim_gfd_rgrid(SimConfig(n=6, p=15, seed=4))
+    domain = (0.0, np.pi / 2)
+    draws, _ = babf_run(
+        data, L=8, eval_grid=np.linspace(*domain, 40), domain=domain, M=60, burnin=20,
+        rng=RngStream(1), hyper_kwargs={"ws": 1.0}, summarize=False,
+    )
+    idx = monitored_indices(draws.basis.shape[0])
+    assert idx == [10, 20, 29]
+    got = draws.grid_sigma_diag(idx)
+    assert got.shape == (draws.coef.shape[0], 3)
+    np.testing.assert_allclose(got, draws.grid_sigma_diag()[:, idx], rtol=1e-12, atol=0)
+
+    # Without a basis the monitored columns are the packed diagonal itself.
+    no_basis = dataclasses.replace(draws, basis=None)
+    np.testing.assert_array_equal(
+        no_basis.grid_sigma_diag([1, 5]), no_basis.grid_sigma_diag()[:, [1, 5]]
+    )
+
+
+def test_monitored_sigma_diagonal_unpacks_no_draw():
+    ndraws, n, K, E = 2000, 2, 20, 40
+    draws = dataclasses.replace(
+        random_draws(ndraws, n, K), basis=np.random.default_rng(1).random((E, K))
+    )
+    idx = monitored_indices(E)
+    tracemalloc.start()
+    try:
+        out = draws.grid_sigma_diag(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The output plus the 3 x K(K+1)/2 weights and their temporaries; one
+    # unpacked draw block would be ndraws * K * K * 8 = 6.4 MB.
+    assert peak <= out.nbytes + 4 * 8 * len(idx) * K * (K + 1) // 2 + 4096

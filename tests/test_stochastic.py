@@ -5,6 +5,9 @@ import pytest
 from scipy import linalg as sla
 from scipy import stats
 
+from harness import MomentChecker, iw_entry_moments
+
+from gpcurve import stochastic
 from gpcurve.stochastic import (
     FactorizationError,
     RngStream,
@@ -133,6 +136,74 @@ def test_inverse_wishart_posterior_update_arithmetic():
         [sample_inverse_wishart(delta + n, post, rng).mat for _ in range(20_000)], axis=0
     )
     np.testing.assert_allclose(mean, (psi + s) / (delta + n - 2.0), atol=0.01)
+
+
+SCALE3 = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.0]])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_inverse_wishart_draw_carries_its_exact_cholesky_factor():
+    scale = SpdMatrix.from_matrix(SCALE3)
+    rng = RngStream(4)
+    for _ in range(200):
+        draw = sample_inverse_wishart(6.0, scale, rng)
+        assert np.all(np.triu(draw.chol, k=1) == 0.0)
+        assert np.all(np.diag(draw.chol) > 0.0)
+        # Bit for bit: the draws container keeps the lower triangle only.
+        np.testing.assert_array_equal(bits(draw.mat), bits(draw.mat.T))
+        np.testing.assert_array_equal(bits(draw.mat), bits(draw.chol @ draw.chol.T))
+        assert draw.jitter == 0.0
+        # The lower factor with a positive diagonal is unique.
+        np.testing.assert_allclose(draw.chol, np.linalg.cholesky(draw.mat), rtol=1e-10, atol=1e-14)
+
+
+def test_inverse_wishart_draw_factors_nothing(monkeypatch):
+    calls = []
+    original = stochastic.cholesky_with_jitter
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "cholesky_with_jitter", counted)
+    scale = SpdMatrix.from_matrix(SCALE3)
+    assert len(calls) == 1
+    draw = sample_inverse_wishart(6.0, scale, RngStream(0))
+    draw.inverse()
+    assert len(calls) == 1
+    # A raw scale is factored once, and only the scale.
+    sample_inverse_wishart(6.0, SCALE3, RngStream(0))
+    assert len(calls) == 2
+
+
+def test_inverse_wishart_entry_variances_match_the_closed_form():
+    # Every entry's mean and variance at p = 3.  Means alone would pass with
+    # the chi-square degrees of freedom on the Bartlett diagonal in the
+    # reverse order; the variances would not.
+    delta, ndraws = 12.0, 40_000
+    scale = SpdMatrix.from_matrix(SCALE3)
+    rng = RngStream(17)
+    draws = np.stack([sample_inverse_wishart(delta, scale, rng).mat for _ in range(ndraws)])
+    chk = MomentChecker()
+    for i, j in zip(*np.tril_indices(3)):
+        mean, var = iw_entry_moments(SCALE3, delta, i, j)
+        chk.mean(f"Sigma[{i},{j}]", draws[:, i, j], mean, limit=4.0)
+        chk.var(f"Sigma[{i},{j}]", draws[:, i, j], var, limit=4.0)
+    assert chk.ok(), chk.failures
+
+
+def test_spd_inverse_is_cached_read_only_and_exactly_symmetric():
+    draw = sample_inverse_wishart(6.0, SpdMatrix.from_matrix(SCALE3), RngStream(3))
+    inv = draw.inverse()
+    assert draw.inverse() is inv
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        inv[0, 0] = 1.0
+    np.testing.assert_array_equal(inv, inv.T)
+    np.testing.assert_allclose(inv @ draw.mat, np.eye(3), atol=1e-12)
 
 
 def test_gamma_shape_rate_convention():

@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from gpcurve import stochastic  # noqa: E402
 from gpcurve.stochastic import (  # noqa: E402
     FactorizationError,
     RngStream,
@@ -61,8 +62,9 @@ def test_spd_solve_inverse_logdet_agree_and_match_scipy_bit_for_bit(p, seed, con
 
     x = spd.solve(b)
     np.testing.assert_array_equal(x, sla.cho_solve((spd.chol, True), b))
-    inv = sla.cho_solve((spd.chol, True), np.eye(p))
-    np.testing.assert_array_equal(spd.inverse(), (inv + inv.T) / 2.0)
+    g, info = sla.lapack.dtrtri(spd.chol, lower=1)
+    assert info == 0
+    np.testing.assert_array_equal(spd.inverse(), g.T @ g)
 
     # The three agree with each other and with the matrix itself.
     scale = np.linalg.cond(spd.mat)
@@ -88,6 +90,33 @@ def test_inverse_wishart_mean_is_scale_over_delta_minus_two_at_any_dimension(p, 
     want = scale.mat / (delta - 2.0)
     se = draws.std(axis=0) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - want) <= 6.0 * se + 1e-12)
+
+
+@SETTINGS
+@given(p=st.integers(1, 6), seed=seeds, delta=st.floats(2.5, 40.0))
+def test_inverse_wishart_draw_is_its_factor_squared_bit_for_bit(p, seed, delta):
+    scale = SpdMatrix.from_matrix(random_spd(p, seed))
+    calls = []
+    original = stochastic.cholesky_with_jitter
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "cholesky_with_jitter", counted)
+        draw = sample_inverse_wishart(delta, scale, RngStream(seed))
+    assert calls == []
+    assert draw.jitter == 0.0
+    assert np.all(np.triu(draw.chol, k=1) == 0.0)
+    assert np.all(np.diag(draw.chol) > 0.0)
+    np.testing.assert_array_equal(draw.mat.view(np.int64), draw.mat.T.copy().view(np.int64))
+    np.testing.assert_array_equal(
+        draw.mat.view(np.int64), (draw.chol @ draw.chol.T).view(np.int64)
+    )
+    np.testing.assert_allclose(
+        draw.chol, sla.cholesky(draw.mat, lower=True), rtol=1e-8, atol=1e-12 * draw.chol.max()
+    )
 
 
 @SETTINGS
