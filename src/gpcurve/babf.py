@@ -1,12 +1,15 @@
-"""Basis-approximated Gibbs sampler on spline coefficients.
+"""The basis-approximated design: the Gibbs engine of :mod:`gpcurve.bhm`
+run on spline coefficients.
 
 Identical model to the full-grid sampler, but the signals are restricted
 to a cubic spline space: working on the K coefficient values instead of p
 grid values drops the sweep cost from O(n p^3) to O(n K^3), which is what
-makes dense or random grids tractable.  Only coefficient-space draws are
-retained; grid-space summaries on any evaluation grid are derived from
-them through the basis, so retained memory does not depend on the
-evaluation or observation grids.
+makes dense or random grids tractable.  The coefficients come from a square
+collocation at the L-point working grid tau (K = L), so the prior base is
+B(tau)^-1 A B(tau)^-T.  Only coefficient-space draws are retained;
+grid-space summaries on any evaluation grid are derived from them through
+the basis, so retained memory does not depend on the evaluation or
+observation grids.
 """
 
 from __future__ import annotations
@@ -16,6 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gpcurve.bhm import (
+    Design,
+    GibbsState,
+    _summarize,
+    bhm_step_meancov as babf_step_meancov,
+    bhm_step_noise as babf_step_noise,
+    bhm_step_scale as babf_step_scale,
+    run_sweeps,
+)
 from gpcurve.bsplines import (
     BSplineBasis,
     WorkingGrid,
@@ -25,20 +37,15 @@ from gpcurve.bsplines import (
     select_working_grid,
 )
 from gpcurve.datagen import FunctionalDataset
-from gpcurve.diagnostics import pdm_pvalues
+from gpcurve.diagnostics import pdm_pvalues  # noqa: F401  (wrapped by bench/layers.py)
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.gridutil import check_grid
-from gpcurve.results import Draws, SmoothResult, credible_band, scalar_summary, summarize_draws
-from gpcurve.stochastic import (
-    RngStream,
-    SpdMatrix,
-    sample_gamma,
-    sample_inverse_wishart,
-    sample_mvn_canonical,
-)
+from gpcurve.results import Draws, SmoothResult, credible_band, summarize_draws
+from gpcurve.stochastic import RngStream, SpdMatrix, sample_mvn_canonical
+from gpcurve.stochastic import sample_inverse_wishart  # noqa: F401  (wrapped by bench/layers.py)
 
 __all__ = [
-    "BabfState",
+    "BabfContext",
     "babf_init",
     "babf_run",
     "babf_step_coeffs",
@@ -53,25 +60,18 @@ DEFAULT_L = 20
 
 
 @dataclass
-class BabfState:
-    """Current values of all sampled quantities, in coefficient space."""
+class BabfContext(Design):
+    """The coefficient design: basis evaluations and the transformed prior.
 
-    zeta: np.ndarray
-    mu_zeta: np.ndarray
-    Sigma_zeta: SpdMatrix
-    sigma_eps2: float
-    sigma_s2: float
+    ``btau`` is the collocation matrix B(tau) and ``btau_inv`` its inverse;
+    ``bt`` holds each curve's basis rows at its observations, and
+    ``b_pad``/``x_pad`` the same rows and the observations zero-padded to the
+    longest curve, so the residuals of all curves are one batched product
+    in which padded rows contribute exact zeros.
+    """
 
-
-@dataclass
-class BabfContext:
-    """Run-constant arrays: basis evaluations and transformed prior pieces."""
-
-    data: FunctionalDataset
-    hyper: HyperParams
     basis: BSplineBasis
     tau: np.ndarray
-    eval_grid: np.ndarray
     btau: np.ndarray
     btau_inv: np.ndarray
     bt: list[np.ndarray]
@@ -79,18 +79,35 @@ class BabfContext:
     x_pad: np.ndarray
     btb: np.ndarray
     btx: np.ndarray
-    b_eval: np.ndarray
-    n_obs: int
-    prior_base: np.ndarray
-    mu0_zeta: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.data.n_curves
+    def residuals(self, coef: np.ndarray) -> np.ndarray:
+        return self.x_pad - np.matmul(self.b_pad, coef[:, :, None])[:, :, 0]
 
-    @property
-    def K(self) -> int:
-        return self.btau.shape[1]
+    def summary_fields(self, draws: Draws) -> dict:
+        """Observed-grid, coefficient-space and working-grid summaries, and
+        the basis artifacts needed to reuse the fit."""
+        coef = summarize_draws(draws)
+        zt_bands = [credible_band(draws.coef[:, i : i + 1], right=b) for i, b in enumerate(self.bt)]
+        return dict(
+            tau=self.tau,
+            Zt=[b @ z for b, z in zip(self.bt, coef["Z"])],
+            Zt_CL=[lo[0] for lo, _ in zt_bands],
+            Zt_UL=[hi[0] for _, hi in zt_bands],
+            Zeta=coef["Z"],
+            Zeta_CL=coef["Z_CL"],
+            Zeta_UL=coef["Z_UL"],
+            Sigma_zeta=coef["Sigma"],
+            Sigma_zeta_CL=coef["Sigma_CL"],
+            Sigma_zeta_UL=coef["Sigma_UL"],
+            Sigma_zeta_SE=coef["Sigma_SE"],
+            mu_zeta=coef["mu"],
+            mu_zeta_CI=coef["mu_CI"],
+            Sigma_tau=self.btau @ coef["Sigma"] @ self.btau.T,
+            mu_tau=self.btau @ coef["mu"],
+            Btau=self.btau,
+            BT=self.bt,
+            knots=self.basis.knots,
+        )
 
 
 def babf_working_grid(pooled: np.ndarray, L: int = DEFAULT_L, tau=None) -> WorkingGrid:
@@ -108,56 +125,62 @@ def build_babf_context(
     tau: np.ndarray,
     eval_grid: np.ndarray,
 ) -> BabfContext:
+    """The design of ``basis`` collocated at the working grid ``tau``.
+
+    Raises ``ValueError`` when the hyperparameters are not on ``tau``, or
+    when the basis size K differs from the working-grid size L: the shared
+    scale step takes its Gamma shape from dim Sigma = K, which is the L of
+    the working-grid model only for a square collocation.
+    """
     tau = check_grid(tau, name="working grid")
     if hyper.grid.shape != tau.shape or not np.array_equal(hyper.grid, tau):
         raise ValueError("hyperparameters must be built on the working grid")
     btau, btau_inv = coeff_transform(basis, tau)
     K = btau.shape[1]
+    if K != tau.size:
+        raise ValueError(
+            f"the basis has K={K} functions but the working grid has L={tau.size} "
+            "points; the collocation must be square"
+        )
     bt = [eval_basis(basis, c.grid) for c in data.curves]
-    # Every curve's basis rows and observations, zero-padded to the longest
-    # curve, so residuals of all curves are one batched product; padded rows
-    # contribute exact zeros.
     sizes = [c.grid.size for c in data.curves]
     b_pad = np.zeros((len(bt), max(sizes), K))
     x_pad = np.zeros((len(bt), max(sizes)))
     for i, (b, c) in enumerate(zip(bt, data.curves)):
         b_pad[i, : sizes[i]] = b
         x_pad[i, : sizes[i]] = c.raw
-    btb = np.stack([b.T @ b for b in bt])
-    btx = np.stack([b.T @ c.raw for b, c in zip(bt, data.curves)])
-    a_tau = hyper.A.evaluate(tau).mat
-    prior_base = btau_inv @ a_tau @ btau_inv.T
-    prior_base = (prior_base + prior_base.T) / 2.0
+    prior_base = btau_inv @ hyper.A.evaluate(tau).mat @ btau_inv.T
     return BabfContext(
+        method="babf",
         data=data,
         hyper=hyper,
+        prior_base=(prior_base + prior_base.T) / 2.0,
+        mu0=btau_inv @ hyper.mu0,
+        n_obs=sum(sizes),
+        grid=eval_grid,
+        b_eval=eval_basis(basis, eval_grid),
+        signal_step=babf_step_coeffs,
         basis=basis,
         tau=tau,
-        eval_grid=eval_grid,
         btau=btau,
         btau_inv=btau_inv,
         bt=bt,
         b_pad=b_pad,
         x_pad=x_pad,
-        btb=btb,
-        btx=btx,
-        b_eval=eval_basis(basis, eval_grid),
-        n_obs=sum(sizes),
-        prior_base=prior_base,
-        mu0_zeta=btau_inv @ hyper.mu0,
+        btb=np.stack([b.T @ b for b in bt]),
+        btx=np.stack([b.T @ c.raw for b, c in zip(bt, data.curves)]),
     )
 
 
-def babf_init(ctx: BabfContext, est: EmpiricalEstimates) -> BabfState:
+def babf_init(ctx: BabfContext, est: EmpiricalEstimates) -> GibbsState:
     """Map the empirical estimates on the working grid into coefficient space."""
     if est.grid.shape != ctx.tau.shape or not np.array_equal(est.grid, ctx.tau):
         raise ValueError("empirical estimates must be on the working grid")
-    sigma_tau = est.sigma_hat.mat
-    sigma_zeta = ctx.btau_inv @ sigma_tau @ ctx.btau_inv.T
-    return BabfState(
-        zeta=est.smoothed @ ctx.btau_inv.T,
-        mu_zeta=ctx.btau_inv @ est.mu_hat,
-        Sigma_zeta=SpdMatrix.from_matrix(
+    sigma_zeta = ctx.btau_inv @ est.sigma_hat.mat @ ctx.btau_inv.T
+    return GibbsState(
+        coef=est.smoothed @ ctx.btau_inv.T,
+        mu=ctx.btau_inv @ est.mu_hat,
+        Sigma=SpdMatrix.from_matrix(
             (sigma_zeta + sigma_zeta.T) / 2.0, name="initial coefficient covariance"
         ),
         sigma_eps2=max(est.noise_var_hat, NOISE_FLOOR),
@@ -165,77 +188,22 @@ def babf_init(ctx: BabfContext, est: EmpiricalEstimates) -> BabfState:
     )
 
 
-def babf_step_coeffs(state: BabfState, ctx: BabfContext, rng: RngStream) -> np.ndarray:
+def babf_step_coeffs(state: GibbsState, ctx: BabfContext, rng: RngStream) -> np.ndarray:
     """Draw every curve's coefficient vector from its Gaussian conditional.
 
-    Curve i's precision is Sigma_zeta^-1 + B_i^T B_i / sigma_eps2.  Each
+    Curve i's precision is Sigma^-1 + B_i^T B_i / sigma_eps2.  Each
     precision is factored once, L_i L_i^T, and the draw is taken as
     prec_i^-1 (b_i + L_i z_i), one Cholesky solve per curve
     (:func:`~gpcurve.stochastic.sample_mvn_canonical`), from n * K
     standard normals.
     """
     gen = rng.generator
-    n, K = ctx.n, ctx.K
-    sig_inv = state.Sigma_zeta.inverse()
-    b = (sig_inv @ state.mu_zeta)[None, :] + ctx.btx / state.sigma_eps2
+    n, K = ctx.n, ctx.dim
+    sig_inv = state.Sigma.inverse()
+    b = (sig_inv @ state.mu)[None, :] + ctx.btx / state.sigma_eps2
     prec = np.broadcast_to(sig_inv, (n, K, K)).copy()
     prec += ctx.btb / state.sigma_eps2
     return sample_mvn_canonical(prec, b, gen.standard_normal((n, K)))
-
-
-def babf_step_meancov(
-    state: BabfState, ctx: BabfContext, rng: RngStream
-) -> tuple[np.ndarray, SpdMatrix]:
-    """Draw the coefficient covariance, then the coefficient mean given it."""
-    gen = rng.generator
-    n = ctx.n
-    c = ctx.hyper.c
-    dev = state.zeta - state.mu_zeta[None, :]
-    dmu = state.mu_zeta - ctx.mu0_zeta
-    scale = state.sigma_s2 * ctx.prior_base + dev.T @ dev + c * np.outer(dmu, dmu)
-    scale = SpdMatrix.from_matrix(scale, name="coefficient covariance conditional scale")
-    sigma_zeta = sample_inverse_wishart(ctx.hyper.delta + n + 1.0, scale, rng)
-    loc = (c * ctx.mu0_zeta + state.zeta.sum(axis=0)) / (c + n)
-    z = gen.standard_normal(ctx.K)
-    mu_zeta = loc + (sigma_zeta.chol @ z) / np.sqrt(c + n)
-    return mu_zeta, sigma_zeta
-
-
-def _residuals(ctx: BabfContext, zeta: np.ndarray) -> np.ndarray:
-    """Every curve's residuals x_i - B_i zeta_i, zero-padded to (n, m_max)."""
-    return ctx.x_pad - np.matmul(ctx.b_pad, zeta[:, :, None])[:, :, 0]
-
-
-def babf_step_noise(state: BabfState, ctx: BabfContext, rng: RngStream) -> tuple[float, float]:
-    """Draw the noise precision from the spline-space residuals.
-
-    The residuals of all curves are one batched product over the zero-padded
-    bases and observations (:func:`_residuals`), so curves of any sizes cost
-    one call, not one per curve.  Each curve's sum of squares is a dot
-    product, and these are added in curve order, as a loop over the curves
-    would add them.
-    """
-    r = _residuals(ctx, state.zeta)
-    rss = float(np.cumsum(np.matmul(r[:, None, :], r[:, :, None]))[-1])
-    shape = ctx.hyper.a_eps + ctx.n_obs / 2.0
-    rate = ctx.hyper.b_eps + rss / 2.0
-    precision = float(sample_gamma(shape, rate, rng))
-    return 1.0 / precision, precision
-
-
-def babf_step_scale(state: BabfState, ctx: BabfContext, rng: RngStream) -> float:
-    """Draw the scale multiplier; the trace term uses the identity
-    tr(A(tau,tau) Sigma_Z(tau,tau)^-1) = tr(B^-1 A B^-T Sigma_zeta^-1).
-
-    The trace is the dot product of the two symmetric matrices, taken with
-    Sigma_zeta's cached inverse, which the next sweep's coefficient step
-    reuses.
-    """
-    L = ctx.tau.size
-    delta = ctx.hyper.delta
-    shape = ctx.hyper.a_s + L * (delta + L - 1.0) / 2.0
-    rate = ctx.hyper.b_s + float(np.vdot(state.Sigma_zeta.inverse(), ctx.prior_base)) / 2.0
-    return float(sample_gamma(shape, rate, rng))
 
 
 def babf_run(
@@ -282,62 +250,5 @@ def babf_run(
     basis = build_basis(working, domain=domain)
     eval_grid = pooled if eval_grid is None else check_grid(eval_grid, "eval_grid")
     ctx = build_babf_context(data, hyper, basis, working.tau, eval_grid)
-    state = babf_init(ctx, est)
-    draws = Draws.allocate(
-        ctx.n, ctx.K, [c.grid.size for c in data.curves], M, burnin, resid_thin, basis=ctx.b_eval
-    )
-
-    def resid():
-        r = _residuals(ctx, state.zeta) / np.sqrt(state.sigma_eps2)
-        return [r_i[: c.grid.size] for r_i, c in zip(r, data.curves)]
-
-    for it in range(M):
-        state.zeta = babf_step_coeffs(state, ctx, rng)
-        state.mu_zeta, state.Sigma_zeta = babf_step_meancov(state, ctx, rng)
-        state.sigma_eps2, precision = babf_step_noise(state, ctx, rng)
-        state.sigma_s2 = babf_step_scale(state, ctx, rng)
-        draws.record(
-            it, state.zeta, state.mu_zeta, state.Sigma_zeta.mat, precision, state.sigma_s2, resid
-        )
-
+    draws = run_sweeps(ctx, babf_init(ctx, est), M, burnin, rng, resid_thin)
     return draws, _summarize(draws, ctx, started) if summarize else None
-
-
-def _summarize(draws: Draws, ctx: BabfContext, started: float) -> SmoothResult:
-    coef = summarize_draws(draws)
-    zt_bands = [credible_band(draws.coef[:, i : i + 1], right=b) for i, b in enumerate(ctx.bt)]
-    rn, rn_ci = scalar_summary(draws.precision)
-    rs, rs_ci = scalar_summary(draws.sigma_s2)
-    params = ctx.hyper.A.params
-    pmin = pdm_pvalues(draws.resid).pmin_vec if draws.resid[0].shape[0] else None
-    return SmoothResult(
-        method="babf",
-        grid=ctx.eval_grid,
-        **summarize_draws(draws, ctx.b_eval),
-        rn=rn,
-        rn_CI=rn_ci,
-        rs=rs,
-        rs_CI=rs_ci,
-        rho=None if params is None else params.rho,
-        nu=None if params is None else params.nu,
-        pmin_vec=pmin,
-        runtime_seconds=time.perf_counter() - started,
-        tau=ctx.tau,
-        Zt=[b @ z for b, z in zip(ctx.bt, coef["Z"])],
-        Zt_CL=[lo[0] for lo, _ in zt_bands],
-        Zt_UL=[hi[0] for _, hi in zt_bands],
-        Zeta=coef["Z"],
-        Zeta_CL=coef["Z_CL"],
-        Zeta_UL=coef["Z_UL"],
-        Sigma_zeta=coef["Sigma"],
-        Sigma_zeta_CL=coef["Sigma_CL"],
-        Sigma_zeta_UL=coef["Sigma_UL"],
-        Sigma_zeta_SE=coef["Sigma_SE"],
-        mu_zeta=coef["mu"],
-        mu_zeta_CI=coef["mu_CI"],
-        Sigma_tau=ctx.btau @ coef["Sigma"] @ ctx.btau.T,
-        mu_tau=ctx.btau @ coef["mu"],
-        Btau=ctx.btau,
-        BT=ctx.bt,
-        knots=ctx.basis.knots,
-    )

@@ -1,23 +1,37 @@
-"""Full-grid Gibbs sampler for the hierarchical Gaussian-Wishart model.
+"""The Gibbs engine of both samplers, and the full-grid design.
 
 The model: observed curves are signals plus iid Gaussian noise, the
 signals share one GP law, the GP mean gets a conjugate GP prior tied to
 the same covariance, the covariance gets an inverse-Wishart-process prior
 whose scale is itself Gamma-distributed, and the noise precision is
 Gamma.  All five full conditionals are conjugate, so each sweep is five
-exact draws.  On a common grid all curves share one factorization of a
-p x p precision.  On grid subsets the signals are drawn pathwise, so curve i
-costs one factorization of its m_i x m_i observed block: O(sum_i m_i^3)
-per sweep, plus one product of n prior draws with the covariance factor.
+exact draws.
+
+Both samplers are this one engine over a :class:`Design`, the basis the
+signals are written in: ``bhm`` samples the pooled-grid values themselves
+(an identity basis, :func:`build_context`), ``babf`` the coefficients of a
+cubic spline (:mod:`gpcurve.babf`).  Only the signal step, the residuals
+and babf's extra result fields differ; the state, the mean, covariance,
+noise and scale steps, the sweep loop and the summaries are written once,
+here.  Every sweep runs
+signals -> Sigma | Z, mu -> mu | Z, Sigma -> noise | Z -> sigma_s2 | Sigma.
+
+On a common grid all curves share one factorization of a p x p precision.
+On grid subsets the signals are drawn pathwise, so curve i costs one
+factorization of its m_i x m_i observed block: O(sum_i m_i^3) per sweep,
+plus one product of n prior draws with the covariance factor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from gpcurve import stochastic
 from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, empirical_estimates
@@ -34,17 +48,73 @@ from gpcurve.stochastic import (
 )
 
 __all__ = [
-    "BhmState",
+    "BhmContext",
+    "Design",
+    "GibbsState",
     "SelectionMap",
     "bhm_init",
     "bhm_run",
     "bhm_step_cov",
     "bhm_step_mean",
+    "bhm_step_meancov",
     "bhm_step_noise",
     "bhm_step_scale",
     "bhm_step_signals",
     "build_context",
+    "run_sweeps",
 ]
+
+
+@dataclass
+class GibbsState:
+    """Current values of all sampled quantities: every curve's coefficients
+    (n, dim), their mean and covariance, the noise variance and the
+    covariance scale."""
+
+    coef: np.ndarray
+    mu: np.ndarray
+    Sigma: SpdMatrix
+    sigma_eps2: float
+    sigma_s2: float
+
+
+@dataclass
+class Design:
+    """What the engine knows of a sampler: the basis its coefficients are in.
+
+    The coefficients' covariance has the prior base ``prior_base`` (dim x dim)
+    and their mean the prior mean ``mu0``.  ``signal_step(state, design, rng)``
+    draws every curve's coefficients and :meth:`residuals` maps them to the
+    data.  Summaries are reported on ``grid``, the image of the coefficients
+    through the evaluation basis ``b_eval`` (``None``: the identity).
+    """
+
+    method: str
+    data: FunctionalDataset
+    hyper: HyperParams
+    prior_base: np.ndarray
+    mu0: np.ndarray
+    n_obs: int
+    grid: np.ndarray
+    b_eval: np.ndarray | None
+    signal_step: Callable[..., np.ndarray]
+
+    @property
+    def n(self) -> int:
+        return self.data.n_curves
+
+    @property
+    def dim(self) -> int:
+        return self.prior_base.shape[0]
+
+    def residuals(self, coef: np.ndarray) -> np.ndarray:
+        """Every curve's residuals at its observations, in curve order,
+        zero-padded to (n, m_max)."""
+        raise NotImplementedError
+
+    def summary_fields(self, draws: Draws) -> dict:
+        """Result fields of this design beyond the shared summaries."""
+        return {}
 
 
 @dataclass
@@ -66,51 +136,35 @@ class SelectionMap:
 
 
 @dataclass
-class BhmState:
-    """Current values of all sampled quantities."""
+class BhmContext(Design):
+    """The full-grid design: a curve's coefficients are its values on the
+    pooled grid, and ``prior_base`` is A there.
 
-    Z: np.ndarray
-    mu: np.ndarray
-    Sigma: SpdMatrix
-    sigma_eps2: float
-    sigma_s2: float
-
-
-@dataclass
-class BhmContext:
-    """Precomputed run-constant arrays: data layout and prior pieces.
-
-    The observations also come padded to ``m_max``, the size of the
-    largest observation grid: ``obs_valid`` (n, m_max) marks the real
-    entries, ``obs_flat`` holds their flat positions in an (n, p) array and
-    ``x_obs`` their values, both in curve order.  ``block_gather``
-    (n, m_max, m_max) holds flat indices that pick each curve's observed
-    block out of a p x p matrix bordered by one row and one column of
-    zeros, a (p + 1) x (p + 1) matrix; padded entries pick the zero border.
-    It is None on a common grid, which does not use it.
+    ``obs_mask`` (n, p) is 1 at each curve's observed points and
+    ``x_scatter`` holds the observations there, 0 elsewhere.  The
+    observations also come padded to ``m_max``, the size of the largest
+    observation grid: ``obs_valid`` (n, m_max) marks the real entries,
+    ``obs_flat`` holds their flat positions in an (n, p) array and ``x_obs``
+    their values, both in curve order.  ``block_gather`` (n, m_max, m_max)
+    holds flat indices that pick each curve's observed block out of a p x p
+    matrix bordered by one row and one column of zeros, a (p + 1) x (p + 1)
+    matrix; padded entries pick the zero border.  It is None on a common
+    grid, which does not use it.
     """
 
-    data: FunctionalDataset
     smap: SelectionMap
-    hyper: HyperParams
     obs_mask: np.ndarray
     x_scatter: np.ndarray
-    n_obs: int
     common: bool
-    A: np.ndarray
-    mu0: np.ndarray
     obs_valid: np.ndarray
     obs_flat: np.ndarray
     x_obs: np.ndarray
     block_gather: np.ndarray | None
 
-    @property
-    def n(self) -> int:
-        return self.data.n_curves
-
-    @property
-    def p(self) -> int:
-        return self.data.pooled_grid.size
+    def residuals(self, coef: np.ndarray) -> np.ndarray:
+        resid = np.zeros(self.obs_valid.shape)
+        resid[self.obs_valid] = self.x_obs - np.take(coef, self.obs_flat)
+        return resid
 
 
 def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
@@ -133,15 +187,19 @@ def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
     obs_idx[obs_valid] = np.concatenate(smap.indices)
     common = data.common_grid()
     return BhmContext(
+        method="bhm",
         data=data,
-        smap=smap,
         hyper=hyper,
+        prior_base=hyper.A.evaluate(pooled).mat,
+        mu0=hyper.mu0,
+        n_obs=int(sizes.sum()),
+        grid=pooled,
+        b_eval=None,
+        signal_step=bhm_step_signals,
+        smap=smap,
         obs_mask=obs_mask,
         x_scatter=x_scatter,
-        n_obs=int(obs_mask.sum()),
         common=common,
-        A=hyper.A.evaluate(pooled).mat,
-        mu0=hyper.mu0,
         obs_valid=obs_valid,
         obs_flat=(obs_idx + p * np.arange(n)[:, None])[obs_valid],
         x_obs=np.concatenate([curve.raw for curve in data.curves]),
@@ -149,34 +207,24 @@ def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
     )
 
 
-def bhm_init(
-    data: FunctionalDataset,
-    hyper: HyperParams,
-    est: EmpiricalEstimates | None = None,
-    candidates=None,
-) -> BhmState:
+def bhm_init(ctx: BhmContext, est: EmpiricalEstimates) -> GibbsState:
     """Initialize: raw data with spline interpolation at unobserved points,
     empirical mean and noise variance, identity covariance, prior-mean scale."""
-    if est is None:
-        est = empirical_estimates(data, candidates=candidates)
-    pooled = data.pooled_grid
-    if est.grid.shape != pooled.shape or not np.array_equal(est.grid, pooled):
+    if est.grid.shape != ctx.grid.shape or not np.array_equal(est.grid, ctx.grid):
         raise ValueError("empirical estimates must be on the pooled grid")
-    smap = SelectionMap.build(data)
     z0 = est.smoothed.copy()
-    for i, curve in enumerate(data.curves):
-        z0[i, smap.indices[i]] = curve.raw
-    p = pooled.size
-    return BhmState(
-        Z=z0,
+    for i, curve in enumerate(ctx.data.curves):
+        z0[i, ctx.smap.indices[i]] = curve.raw
+    return GibbsState(
+        coef=z0,
         mu=est.mu_hat.copy(),
-        Sigma=SpdMatrix.from_matrix(np.eye(p)),
+        Sigma=SpdMatrix.from_matrix(np.eye(ctx.dim)),
         sigma_eps2=max(est.noise_var_hat, NOISE_FLOOR),
-        sigma_s2=hyper.delta - 2.0,
+        sigma_s2=ctx.hyper.delta - 2.0,
     )
 
 
-def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.ndarray:
+def bhm_step_signals(state: GibbsState, ctx: BhmContext, rng: RngStream) -> np.ndarray:
     """Draw every signal from its Gaussian full conditional.
 
     Curve i's conditional is N((Sigma^-1 + D_i / s2)^-1 (Sigma^-1 mu + x_i / s2),
@@ -204,7 +252,7 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
             f"noise variance must be positive, got {state.sigma_eps2}"
         )
     gen = rng.generator
-    n, p = ctx.n, ctx.p
+    n, p = ctx.n, ctx.dim
 
     if ctx.common:
         sig_inv = state.Sigma.inverse()
@@ -218,8 +266,8 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
     sigma = state.Sigma.mat
     paths = state.mu + gen.standard_normal((n, p)) @ state.Sigma.chol.T
     noise = np.sqrt(state.sigma_eps2) * gen.standard_normal(ctx.n_obs)
-    resid = np.zeros(ctx.obs_valid.shape)
-    resid[ctx.obs_valid] = ctx.x_obs - np.take(paths, ctx.obs_flat) - noise
+    resid = ctx.residuals(paths)
+    resid[ctx.obs_valid] -= noise
     bordered = np.zeros((p + 1, p + 1))
     bordered[:p, :p] = sigma
     blocks = np.take(bordered, ctx.block_gather)
@@ -231,54 +279,96 @@ def bhm_step_signals(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.nda
     return paths + scattered @ sigma
 
 
-def bhm_step_noise(state: BhmState, ctx: BhmContext, rng: RngStream) -> tuple[float, float]:
+def bhm_step_cov(state: GibbsState, ctx: Design, rng: RngStream) -> SpdMatrix:
+    """Draw the covariance from its inverse-Wishart full conditional.
+
+    The scale accumulates the prior structure, the coefficient scatter about
+    the mean, and the mean's own deviation from the prior mean.  Each term
+    is exactly symmetric as built, so the scale is factored as it is, with
+    the ridge schedule (:func:`~gpcurve.stochastic.cholesky_with_jitter`).
+    """
+    dev = state.coef - state.mu[None, :]
+    dmu = state.mu - ctx.mu0
+    scale = state.sigma_s2 * ctx.prior_base + dev.T @ dev + ctx.hyper.c * np.outer(dmu, dmu)
+    chol, ridge = stochastic.cholesky_with_jitter(scale, name="covariance conditional scale")
+    if ridge:
+        scale = scale + ridge * np.eye(ctx.dim)
+    scale = SpdMatrix(mat=scale, chol=chol, jitter=ridge)
+    return sample_inverse_wishart(ctx.hyper.delta + ctx.n + 1.0, scale, rng)
+
+
+def bhm_step_mean(state: GibbsState, ctx: Design, rng: RngStream) -> np.ndarray:
+    """Draw the mean: shrinks the coefficient average toward the prior mean,
+    with covariance Sigma / (c + n)."""
+    c = ctx.hyper.c
+    loc = (c * ctx.mu0 + state.coef.sum(axis=0)) / (c + ctx.n)
+    z = rng.generator.standard_normal(ctx.dim)
+    return loc + (state.Sigma.chol @ z) / np.sqrt(c + ctx.n)
+
+
+def bhm_step_meancov(
+    state: GibbsState, ctx: Design, rng: RngStream
+) -> tuple[np.ndarray, SpdMatrix]:
+    """Draw the covariance, then the mean given it; returns (mean, covariance)."""
+    sigma = bhm_step_cov(state, ctx, rng)
+    return bhm_step_mean(dataclasses.replace(state, Sigma=sigma), ctx, rng), sigma
+
+
+def bhm_step_noise(state: GibbsState, ctx: Design, rng: RngStream) -> tuple[float, float]:
     """Draw the noise precision; returns (variance, precision).
 
-    With no observations the conditional collapses to the prior.
+    The residuals of all curves come zero-padded to one size
+    (:meth:`Design.residuals`), so padded entries add exact zeros.  Each
+    curve's sum of squares is a dot product, and these are added in curve
+    order, as a loop over the curves would add them.
     """
-    resid = ctx.x_scatter - state.Z * ctx.obs_mask
-    rss = float(np.sum(resid * resid))
+    r = ctx.residuals(state.coef)
+    rss = float(np.cumsum(np.matmul(r[:, None, :], r[:, :, None]))[-1])
     shape = ctx.hyper.a_eps + ctx.n_obs / 2.0
     rate = ctx.hyper.b_eps + rss / 2.0
     precision = float(sample_gamma(shape, rate, rng))
     return 1.0 / precision, precision
 
 
-def bhm_step_mean(state: BhmState, ctx: BhmContext, rng: RngStream) -> np.ndarray:
-    """Draw the GP mean: shrinks the signal average toward the prior mean,
-    with covariance Sigma / (c + n)."""
-    gen = rng.generator
-    c = ctx.hyper.c
-    loc = (c * ctx.mu0 + state.Z.sum(axis=0)) / (c + ctx.n)
-    z = gen.standard_normal(ctx.p)
-    return loc + (state.Sigma.chol @ z) / np.sqrt(c + ctx.n)
-
-
-def bhm_step_cov(state: BhmState, ctx: BhmContext, rng: RngStream) -> SpdMatrix:
-    """Draw the covariance from its inverse-Wishart full conditional.
-
-    The scale accumulates the prior structure, the signal scatter about the
-    mean, and the mean's own deviation from the prior mean.
-    """
-    dev = state.Z - state.mu[None, :]
-    dmu = state.mu - ctx.mu0
-    scale = state.sigma_s2 * ctx.A + dev.T @ dev + ctx.hyper.c * np.outer(dmu, dmu)
-    scale = SpdMatrix.from_matrix(scale, name="covariance conditional scale")
-    return sample_inverse_wishart(ctx.hyper.delta + ctx.n + 1.0, scale, rng)
-
-
-def bhm_step_scale(state: BhmState, ctx: BhmContext, rng: RngStream) -> float:
+def bhm_step_scale(state: GibbsState, ctx: Design, rng: RngStream) -> float:
     """Draw the inverse-Wishart scale multiplier from its Gamma conditional.
 
-    The trace tr(Sigma^-1 A) is the dot product of the two symmetric
-    matrices, taken with Sigma's cached inverse, which the next sweep's
-    common-grid signal step reuses.
+    The trace tr(Sigma^-1 prior_base) is the dot product of the two
+    symmetric matrices, taken with Sigma's cached inverse, which the next
+    sweep's common-grid or coefficient signal step reuses.  Through a basis
+    it equals tr(A(tau,tau) Sigma_Z(tau,tau)^-1), since
+    prior_base = B^-1 A B^-T and Sigma_Z = B Sigma B^T.
     """
-    p = ctx.p
-    delta = ctx.hyper.delta
-    shape = ctx.hyper.a_s + p * (delta + p - 1.0) / 2.0
-    rate = ctx.hyper.b_s + float(np.vdot(state.Sigma.inverse(), ctx.A)) / 2.0
+    d, delta = ctx.dim, ctx.hyper.delta
+    shape = ctx.hyper.a_s + d * (delta + d - 1.0) / 2.0
+    rate = ctx.hyper.b_s + float(np.vdot(state.Sigma.inverse(), ctx.prior_base)) / 2.0
     return float(sample_gamma(shape, rate, rng))
+
+
+def run_sweeps(
+    ctx: Design, state: GibbsState, M: int, burnin: int, rng: RngStream, resid_thin: int
+) -> Draws:
+    """Run M sweeps from ``state``, which they update, and return the draws
+    of sweeps ``burnin`` .. ``M - 1`` (:meth:`Draws.allocate` checks the
+    counts and the memory first).
+
+    Each sweep draws the signals, the covariance given them and the mean,
+    the mean given the new covariance, the noise, then the scale.
+    """
+    sizes = [c.grid.size for c in ctx.data.curves]
+    draws = Draws.allocate(ctx.n, ctx.dim, sizes, M, burnin, resid_thin, basis=ctx.b_eval)
+
+    def resid():
+        r = ctx.residuals(state.coef) / np.sqrt(state.sigma_eps2)
+        return [r_i[:m] for r_i, m in zip(r, sizes)]
+
+    for it in range(M):
+        state.coef = ctx.signal_step(state, ctx, rng)
+        state.mu, state.Sigma = bhm_step_meancov(state, ctx, rng)
+        state.sigma_eps2, precision = bhm_step_noise(state, ctx, rng)
+        state.sigma_s2 = bhm_step_scale(state, ctx, rng)
+        draws.record(it, state.coef, state.mu, state.Sigma.mat, precision, state.sigma_s2, resid)
+    return draws
 
 
 def bhm_run(
@@ -291,49 +381,33 @@ def bhm_run(
     resid_thin: int = 10,
     summarize: bool = True,
 ) -> tuple[Draws, SmoothResult | None]:
-    """Run the five-step Gibbs sampler and summarize the retained draws.
+    """Run the Gibbs sampler on the pooled grid and summarize the retained draws.
 
     The draws' coefficients are the pooled-grid signal values (no basis).
     With ``summarize=False`` the posterior summaries and fit p-values are
     skipped and the result is ``None``; the draws are the same either way.
     """
-    n, p = data.n_curves, data.pooled_grid.size
-    draws = Draws.allocate(n, p, [c.grid.size for c in data.curves], M, burnin, resid_thin)
     if rng is None:
         rng = RngStream(0)
     if est is None:
         est = empirical_estimates(data)
     started = time.perf_counter()
     ctx = build_context(data, hyper)
-    state = bhm_init(data, hyper, est)
-
-    def resid():
-        sd = np.sqrt(state.sigma_eps2)
-        return [
-            (curve.raw - z[idx]) / sd
-            for curve, z, idx in zip(data.curves, state.Z, ctx.smap.indices)
-        ]
-
-    for it in range(M):
-        state.Z = bhm_step_signals(state, ctx, rng)
-        state.sigma_eps2, precision = bhm_step_noise(state, ctx, rng)
-        state.mu = bhm_step_mean(state, ctx, rng)
-        state.Sigma = bhm_step_cov(state, ctx, rng)
-        state.sigma_s2 = bhm_step_scale(state, ctx, rng)
-        draws.record(it, state.Z, state.mu, state.Sigma.mat, precision, state.sigma_s2, resid)
-
+    draws = run_sweeps(ctx, bhm_init(ctx, est), M, burnin, rng, resid_thin)
     return draws, _summarize(draws, ctx, started) if summarize else None
 
 
-def _summarize(draws: Draws, ctx: BhmContext, started: float) -> SmoothResult:
+def _summarize(draws: Draws, ctx: Design, started: float) -> SmoothResult:
+    """Posterior summaries on the design's grid, the scalar chains' means and
+    intervals, the fit p-values and the design's own fields."""
     rn, rn_ci = scalar_summary(draws.precision)
     rs, rs_ci = scalar_summary(draws.sigma_s2)
     params = ctx.hyper.A.params
     pmin = pdm_pvalues(draws.resid).pmin_vec if draws.resid[0].shape[0] else None
     return SmoothResult(
-        method="bhm",
-        grid=ctx.data.pooled_grid,
-        **summarize_draws(draws),
+        method=ctx.method,
+        grid=ctx.grid,
+        **summarize_draws(draws, draws.basis),
         rn=rn,
         rn_CI=rn_ci,
         rs=rs,
@@ -341,5 +415,6 @@ def _summarize(draws: Draws, ctx: BhmContext, started: float) -> SmoothResult:
         rho=None if params is None else params.rho,
         nu=None if params is None else params.nu,
         pmin_vec=pmin,
+        **ctx.summary_fields(draws),
         runtime_seconds=time.perf_counter() - started,
     )

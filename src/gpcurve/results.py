@@ -22,8 +22,7 @@ __all__ = [
 
 BAND_PROBS = (0.025, 0.975)
 
-# Working memory for one block of draws: the band work buffer, or the
-# grid-space images behind a covariance diagonal.
+# Working memory for one block of draws: the band work buffer.
 CHUNK_BYTES = 1 << 24
 
 
@@ -166,38 +165,23 @@ class Draws:
         """Mean draws on the evaluation grid, (ndraws, E)."""
         return self.mu if self.basis is None else self.mu @ self.basis.T
 
-    def grid_sigma_diag(self, columns=None) -> np.ndarray:
-        """Covariance diagonal on the evaluation grid per draw, (ndraws, E),
-        as rowsum(B Sigma o B) over blocks of draws; or at the evaluation
-        points ``columns`` only, (ndraws, len(columns)).
+    def grid_sigma_diag(self, columns) -> np.ndarray:
+        """Covariance diagonal at the evaluation points ``columns`` per draw,
+        (ndraws, len(columns)).
 
         Through a basis, point e's variance b_e Sigma b_e^T is a weighted sum
         of the packed cells, weight b_ek b_el (doubled off the diagonal), so
-        a few columns are one product of the packed draws with those weights
-        and no draw is unpacked. They agree with the whole-grid columns to
-        rounding, not bit for bit.
+        the columns are one product of the packed draws with those weights
+        and no draw is unpacked.
         """
-        K = self.coef.shape[2]
+        columns = np.asarray(columns, dtype=np.intp)
         if self.basis is None:
-            rows = np.arange(K) if columns is None else np.asarray(columns, dtype=np.intp)
-            return self.Sigma[:, rows * (rows + 3) // 2]
-        if columns is not None:
-            B = self.basis[columns]
-            rows, cols = np.tril_indices(K)
-            weights = B[:, rows] * B[:, cols]
-            weights[:, rows != cols] *= 2.0
-            return self.Sigma @ weights.T
-        B = self.basis
-        out = np.empty((self.Sigma.shape[0], B.shape[0]))
-        # A block's unpacked draws and their images share one CHUNK_BYTES.
-        step = max(1, CHUNK_BYTES // (8 * (B.size + K * K)))
-        images = np.empty((min(step, out.shape[0]),) + B.shape)
-        for k in range(0, out.shape[0], step):
-            block = self.Sigma[k : k + step]
-            image = np.matmul(B, unpack_lower(block), out=images[: block.shape[0]])
-            image *= B
-            out[k : k + step] = np.sum(image, axis=2)
-        return out
+            return self.Sigma[:, columns * (columns + 3) // 2]
+        B = self.basis[columns]
+        rows, cols = np.tril_indices(self.coef.shape[2])
+        weights = B[:, rows] * B[:, cols]
+        weights[:, rows != cols] *= 2.0
+        return self.Sigma @ weights.T
 
 
 def _block_shape(ndraws: int, R: int, C: int, inner: int) -> tuple[int, int]:

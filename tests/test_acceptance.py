@@ -22,7 +22,7 @@ from gpcurve.babf import (
     build_babf_context,
 )
 from gpcurve.bhm import (
-    BhmState,
+    GibbsState,
     bhm_run,
     bhm_step_cov,
     bhm_step_mean,
@@ -170,8 +170,8 @@ def _bhm_oracle_problem():
         b_s=0.35,
     )
     ctx = build_context(data, hyper)
-    state = BhmState(
-        Z=rng.normal(size=(3, 4)),
+    state = GibbsState(
+        coef=rng.normal(size=(3, 4)),
         mu=np.array([0.4, -0.1, 0.2, 0.0]),
         Sigma=SpdMatrix.from_matrix(0.8 * a_mat),
         sigma_eps2=0.25,
@@ -197,13 +197,13 @@ def test_criterion_06_conjugate_oracles():
     chk = MomentChecker()
 
     data, hyper, ctx, state = _bhm_oracle_problem()
-    n, p = ctx.n, ctx.p
+    n, p = ctx.n, ctx.dim
     sig_inv = np.linalg.inv(state.Sigma.mat)
 
     rng = RngStream(606)
     prec = np.array([bhm_step_noise(state, ctx, rng)[1] for _ in range(ORACLE_DRAWS)])
     rss = sum(
-        float(np.sum((c.raw - state.Z[i, ctx.smap.indices[i]]) ** 2))
+        float(np.sum((c.raw - state.coef[i, ctx.smap.indices[i]]) ** 2))
         for i, c in enumerate(data.curves)
     )
     shape = hyper.a_eps + ctx.n_obs / 2.0
@@ -213,7 +213,7 @@ def test_criterion_06_conjugate_oracles():
 
     rng = RngStream(607)
     mu_draws = np.array([bhm_step_mean(state, ctx, rng) for _ in range(ORACLE_DRAWS)])
-    loc = (hyper.c * ctx.mu0 + state.Z.sum(axis=0)) / (hyper.c + n)
+    loc = (hyper.c * ctx.mu0 + state.coef.sum(axis=0)) / (hyper.c + n)
     for j in (0, 2):
         chk.mean(f"mean[{j}]", mu_draws[:, j], loc[j])
         chk.var(f"mean[{j}]", mu_draws[:, j], state.Sigma.mat[j, j] / (hyper.c + n))
@@ -221,9 +221,9 @@ def test_criterion_06_conjugate_oracles():
 
     rng = RngStream(608)
     cov_draws = np.array([bhm_step_cov(state, ctx, rng).mat for _ in range(ORACLE_DRAWS)])
-    dev = state.Z - state.mu[None, :]
+    dev = state.coef - state.mu[None, :]
     dmu = state.mu - ctx.mu0
-    scale_mat = state.sigma_s2 * ctx.A + dev.T @ dev + hyper.c * np.outer(dmu, dmu)
+    scale_mat = state.sigma_s2 * ctx.prior_base + dev.T @ dev + hyper.c * np.outer(dmu, dmu)
     dpost = hyper.delta + n + 1.0
     for i, j in ((0, 0), (0, 1)):
         m, v = iw_entry_moments(scale_mat, dpost, i, j)
@@ -233,7 +233,7 @@ def test_criterion_06_conjugate_oracles():
     rng = RngStream(609)
     s2_draws = np.array([bhm_step_scale(state, ctx, rng) for _ in range(ORACLE_DRAWS)])
     shape = hyper.a_s + p * (hyper.delta + p - 1.0) / 2.0
-    rate = hyper.b_s + float(np.trace(np.linalg.solve(state.Sigma.mat, ctx.A))) / 2.0
+    rate = hyper.b_s + float(np.trace(np.linalg.solve(state.Sigma.mat, ctx.prior_base))) / 2.0
     chk.mean("scale", s2_draws, shape / rate)
     chk.var("scale", s2_draws, shape / rate**2)
 
@@ -248,14 +248,14 @@ def test_criterion_06_conjugate_oracles():
     chk.cov(f"signal[{i},0 vs 1]", z_draws[:, i, 0], z_draws[:, i, 1], v_i[0, 1])
 
     data, hyper, ctx, state = _babf_oracle_problem()
-    n, K = ctx.n, ctx.K
-    sig_inv = np.linalg.inv(state.Sigma_zeta.mat)
+    n, K = ctx.n, ctx.dim
+    sig_inv = np.linalg.inv(state.Sigma.mat)
 
     rng = RngStream(611)
     prec = np.array([babf_step_noise(state, ctx, rng)[1] for _ in range(ORACLE_DRAWS)])
     rss = sum(
         float(np.sum((c.raw - b @ z) ** 2))
-        for c, b, z in zip(data.curves, ctx.bt, state.zeta)
+        for c, b, z in zip(data.curves, ctx.bt, state.coef)
     )
     shape = hyper.a_eps + ctx.n_obs / 2.0
     rate = hyper.b_eps + rss / 2.0
@@ -266,7 +266,7 @@ def test_criterion_06_conjugate_oracles():
     s2_draws = np.array([babf_step_scale(state, ctx, rng) for _ in range(ORACLE_DRAWS)])
     L = ctx.tau.size
     shape = hyper.a_s + L * (hyper.delta + L - 1.0) / 2.0
-    rate = hyper.b_s + float(np.trace(np.linalg.solve(state.Sigma_zeta.mat, ctx.prior_base))) / 2.0
+    rate = hyper.b_s + float(np.trace(np.linalg.solve(state.Sigma.mat, ctx.prior_base))) / 2.0
     chk.mean("coeff scale", s2_draws, shape / rate)
     chk.var("coeff scale", s2_draws, shape / rate**2)
 
@@ -274,15 +274,15 @@ def test_criterion_06_conjugate_oracles():
     pairs = [babf_step_meancov(state, ctx, rng) for _ in range(ORACLE_DRAWS)]
     mu_draws = np.array([m for m, _ in pairs])
     cov_draws = np.array([s.mat for _, s in pairs])
-    dev = state.zeta - state.mu_zeta[None, :]
-    dmu = state.mu_zeta - ctx.mu0_zeta
+    dev = state.coef - state.mu[None, :]
+    dmu = state.mu - ctx.mu0
     scale_mat = state.sigma_s2 * ctx.prior_base + dev.T @ dev + hyper.c * np.outer(dmu, dmu)
     dpost = hyper.delta + n + 1.0
     for i, j in ((0, 0), (0, 1)):
         m, v = iw_entry_moments(scale_mat, dpost, i, j)
         chk.mean(f"coeff cov[{i},{j}]", cov_draws[:, i, j], m)
         chk.var(f"coeff cov[{i},{j}]", cov_draws[:, i, j], v)
-    loc = (hyper.c * ctx.mu0_zeta + state.zeta.sum(axis=0)) / (hyper.c + n)
+    loc = (hyper.c * ctx.mu0 + state.coef.sum(axis=0)) / (hyper.c + n)
     chk.mean("coeff mean[0]", mu_draws[:, 0], loc[0])
     chk.var(
         "coeff mean[0]",
@@ -294,7 +294,7 @@ def test_criterion_06_conjugate_oracles():
     zeta_draws = np.array([babf_step_coeffs(state, ctx, rng) for _ in range(ORACLE_DRAWS)])
     i = 0
     v_i = np.linalg.inv(sig_inv + ctx.btb[i] / state.sigma_eps2)
-    m_i = v_i @ (sig_inv @ state.mu_zeta + ctx.btx[i] / state.sigma_eps2)
+    m_i = v_i @ (sig_inv @ state.mu + ctx.btx[i] / state.sigma_eps2)
     for j in (0, 1):
         chk.mean(f"coeff[{i},{j}]", zeta_draws[:, i, j], m_i[j])
         chk.var(f"coeff[{i},{j}]", zeta_draws[:, i, j], v_i[j, j])

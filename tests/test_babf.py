@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gpcurve.babf import (
-    BabfState,
     babf_init,
     babf_run,
     babf_step_coeffs,
@@ -13,7 +12,17 @@ from gpcurve.babf import (
     babf_step_scale,
     build_babf_context,
 )
-from gpcurve.bhm import bhm_run
+from gpcurve.bhm import (
+    GibbsState,
+    bhm_init,
+    bhm_run,
+    bhm_step_cov,
+    bhm_step_mean,
+    bhm_step_noise,
+    bhm_step_scale,
+    bhm_step_signals,
+    build_context,
+)
 from gpcurve.bsplines import WorkingGrid, build_basis, select_working_grid
 from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd, sim_gfd_rgrid
 from gpcurve.empirical import HyperParams, build_hyperparams, empirical_estimates
@@ -46,7 +55,7 @@ def test_noise_step_matches_gamma_oracle():
     data, hyper, ctx, state = coeff_problem()
     rss = sum(
         float(np.sum((c.raw - b @ z) ** 2))
-        for c, b, z in zip(data.curves, ctx.bt, state.zeta)
+        for c, b, z in zip(data.curves, ctx.bt, state.coef)
     )
     n_obs = sum(c.grid.size for c in data.curves)
     _, precision = babf_step_noise(state, ctx, RngStream(5))
@@ -80,16 +89,16 @@ def test_batched_noise_step_equals_the_per_curve_loop_on_ragged_curves():
     )
     basis = build_basis(WorkingGrid(tau=tau, source="user"), domain=DOMAIN)
     ctx = build_babf_context(data, hyper, basis, tau, tau)
-    assert ctx.b_pad.shape == (6, 9, ctx.K) and ctx.x_pad.shape == (6, 9)
-    state = BabfState(
-        zeta=gen.standard_normal((6, ctx.K)),
-        mu_zeta=np.zeros(ctx.K),
-        Sigma_zeta=SpdMatrix.from_matrix(np.eye(ctx.K)),
+    assert ctx.b_pad.shape == (6, 9, ctx.dim) and ctx.x_pad.shape == (6, 9)
+    state = GibbsState(
+        coef=gen.standard_normal((6, ctx.dim)),
+        mu=np.zeros(ctx.dim),
+        Sigma=SpdMatrix.from_matrix(np.eye(ctx.dim)),
         sigma_eps2=0.2,
         sigma_s2=1.0,
     )
     rss = 0.0
-    for b, curve, zeta_i in zip(ctx.bt, data.curves, state.zeta):
+    for b, curve, zeta_i in zip(ctx.bt, data.curves, state.coef):
         r = curve.raw - b @ zeta_i
         rss += float(r @ r)
     rng, ref = RngStream(4), RngStream(4)
@@ -105,7 +114,7 @@ def test_batched_noise_step_equals_the_per_curve_loop_on_ragged_curves():
 def test_scale_step_uses_the_transformed_trace():
     data, hyper, ctx, state = coeff_problem(L=6)
     L = 6
-    trace = float(np.trace(np.linalg.solve(state.Sigma_zeta.mat, ctx.prior_base)))
+    trace = float(np.trace(np.linalg.solve(state.Sigma.mat, ctx.prior_base)))
     draw = babf_step_scale(state, ctx, RngStream(7))
     oracle = float(
         sample_gamma(
@@ -123,8 +132,8 @@ def test_trace_identity_for_the_scale_step():
     # step avoid reconstructing grid-space matrices.
     data, hyper, ctx, _ = coeff_problem()
     rng = np.random.default_rng(0)
-    root = rng.normal(size=(ctx.K, ctx.K))
-    sigma_zeta = root @ root.T + ctx.K * np.eye(ctx.K)
+    root = rng.normal(size=(ctx.dim, ctx.dim))
+    sigma_zeta = root @ root.T + ctx.dim * np.eye(ctx.dim)
     a_tau = hyper.A.evaluate(ctx.tau).mat
     sigma_grid = ctx.btau @ sigma_zeta @ ctx.btau.T
     lhs = np.trace(a_tau @ np.linalg.inv(sigma_grid))
@@ -135,8 +144,8 @@ def test_trace_identity_for_the_scale_step():
 def test_meancov_step_matches_its_oracles():
     data, hyper, ctx, state = coeff_problem()
     n, c = 4, hyper.c
-    dev = state.zeta - state.mu_zeta[None, :]
-    dmu = state.mu_zeta - ctx.mu0_zeta
+    dev = state.coef - state.mu[None, :]
+    dmu = state.mu - ctx.mu0
     scale = state.sigma_s2 * ctx.prior_base + dev.T @ dev + c * np.outer(dmu, dmu)
     mu_draw, sigma_draw = babf_step_meancov(state, ctx, RngStream(11))
 
@@ -144,8 +153,8 @@ def test_meancov_step_matches_its_oracles():
     sigma_oracle = sample_inverse_wishart(
         hyper.delta + n + 1.0, SpdMatrix.from_matrix((scale + scale.T) / 2.0), replay
     )
-    loc = (c * ctx.mu0_zeta + state.zeta.sum(axis=0)) / (c + n)
-    z = replay.generator.standard_normal(ctx.K)
+    loc = (c * ctx.mu0 + state.coef.sum(axis=0)) / (c + n)
+    z = replay.generator.standard_normal(ctx.dim)
     mu_oracle = loc + (sigma_oracle.chol @ z) / np.sqrt(c + n)
     np.testing.assert_allclose(sigma_draw.mat, sigma_oracle.mat, atol=1e-12)
     np.testing.assert_allclose(mu_draw, mu_oracle, atol=1e-12)
@@ -157,11 +166,11 @@ def test_coeff_step_moments():
     draws = np.stack(
         [babf_step_coeffs(state, ctx, RngStream(6000 + k)) for k in range(6000)]
     )
-    sig_inv = state.Sigma_zeta.inverse()
+    sig_inv = state.Sigma.inverse()
     for i in range(2):
         prec = sig_inv + ctx.btb[i] / state.sigma_eps2
         cov = np.linalg.inv(prec)
-        mean = cov @ (sig_inv @ state.mu_zeta + ctx.btx[i] / state.sigma_eps2)
+        mean = cov @ (sig_inv @ state.mu + ctx.btx[i] / state.sigma_eps2)
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         np.testing.assert_array_less(
             np.abs(draws[:, i].mean(axis=0) - mean), 5.0 * se + 1e-12
@@ -174,7 +183,7 @@ def test_coeff_step_uses_n_times_k_normals():
     rng = RngStream(22, stream_id=1)
     babf_step_coeffs(state, ctx, rng)
     fresh = RngStream(22, stream_id=1)
-    fresh.generator.standard_normal((ctx.n, ctx.K))
+    fresh.generator.standard_normal((ctx.n, ctx.dim))
     assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
 
 
@@ -188,9 +197,9 @@ def test_coeff_step_rejects_a_non_positive_definite_precision():
 def test_init_round_trips_through_the_basis():
     data, hyper, ctx, state = coeff_problem()
     est = empirical_estimates(data, eval_grid=ctx.tau)
-    np.testing.assert_allclose(state.zeta @ ctx.btau.T, est.smoothed, atol=1e-8)
-    np.testing.assert_allclose(ctx.btau @ state.mu_zeta, est.mu_hat, atol=1e-8)
-    np.testing.assert_allclose(ctx.btau @ ctx.mu0_zeta, hyper.mu0, atol=1e-8)
+    np.testing.assert_allclose(state.coef @ ctx.btau.T, est.smoothed, atol=1e-8)
+    np.testing.assert_allclose(ctx.btau @ state.mu, est.mu_hat, atol=1e-8)
+    np.testing.assert_allclose(ctx.btau @ ctx.mu0, hyper.mu0, atol=1e-8)
 
 
 def test_context_requires_hyper_on_working_grid():
@@ -201,6 +210,54 @@ def test_context_requires_hyper_on_working_grid():
     hyper = build_hyperparams(est)
     with pytest.raises(ValueError, match="working grid"):
         build_babf_context(data, hyper, basis, working.tau, data.pooled_grid)
+
+
+def test_context_requires_a_square_collocation():
+    # A basis of K = 6 functions at a working grid of L = 5 points.
+    data = sim_gfd(SimConfig(n=3, p=12, seed=3))
+    basis = build_basis(select_working_grid(data.pooled_grid, 6), domain=DOMAIN)
+    tau = select_working_grid(data.pooled_grid, 5).tau
+    hyper = build_hyperparams(empirical_estimates(data, eval_grid=tau))
+    with pytest.raises(ValueError, match="K=6 .* L=5"):
+        build_babf_context(data, hyper, basis, tau, data.pooled_grid)
+
+
+@pytest.mark.parametrize("method", ["bhm", "babf"])
+def test_runs_sweep_the_public_steps_in_the_documented_order(method):
+    # signals -> Sigma | Z, mu -> mu | Z, Sigma -> noise | Z -> sigma_s2 | Sigma,
+    # every step drawing from the one stream the run was given.
+    sweeps = 5
+    if method == "bhm":
+        data = sim_gfd(SimConfig(n=6, p=10, seed=8, cgrid=False))
+        est = empirical_estimates(data)
+        hyper = build_hyperparams(est)
+        draws, _ = bhm_run(data, hyper, est, M=sweeps, burnin=0, rng=RngStream(7), summarize=False)
+        ctx = build_context(data, hyper)
+        state, signals = bhm_init(ctx, est), bhm_step_signals
+    else:
+        data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
+        working = select_working_grid(data.pooled_grid, 6)
+        est = empirical_estimates(data, eval_grid=working.tau)
+        hyper = build_hyperparams(est, ws=1.0)
+        draws, _ = babf_run(
+            data, hyper, est, L=6, domain=DOMAIN, M=sweeps, burnin=0, rng=RngStream(7),
+            summarize=False,
+        )
+        basis = build_basis(working, domain=DOMAIN)
+        ctx = build_babf_context(data, hyper, basis, working.tau, data.pooled_grid)
+        state, signals = babf_init(ctx, est), babf_step_coeffs
+    rng = RngStream(7)
+    for k in range(sweeps):
+        state.coef = signals(state, ctx, rng)
+        state.Sigma = bhm_step_cov(state, ctx, rng)
+        state.mu = bhm_step_mean(state, ctx, rng)
+        state.sigma_eps2, precision = bhm_step_noise(state, ctx, rng)
+        state.sigma_s2 = bhm_step_scale(state, ctx, rng)
+        np.testing.assert_array_equal(draws.coef[k], state.coef)
+        np.testing.assert_array_equal(unpack_lower(draws.Sigma[k]), state.Sigma.mat)
+        np.testing.assert_array_equal(draws.mu[k], state.mu)
+        assert draws.precision[k] == precision
+        assert draws.sigma_s2[k] == state.sigma_s2
 
 
 def test_run_shapes_determinism_and_reconstruction():

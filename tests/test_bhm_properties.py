@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gpcurve.bhm import BhmState, bhm_step_signals, build_context  # noqa: E402
+from gpcurve.bhm import GibbsState, bhm_step_signals, build_context  # noqa: E402
 from gpcurve.datagen import Curve, FunctionalDataset  # noqa: E402
 from gpcurve.empirical import HyperParams  # noqa: E402
 from gpcurve.kernels import CovarianceModel  # noqa: E402
@@ -67,8 +67,8 @@ def test_zeroed_normals_give_the_canonical_posterior_mean(layout, seed, noise_va
     ctx = build_context(data, hyper)
     assert not ctx.common
     mu = gen.standard_normal(p)
-    state = BhmState(
-        Z=np.zeros((ctx.n, p)), mu=mu, Sigma=sigma, sigma_eps2=noise_var, sigma_s2=1.0
+    state = GibbsState(
+        coef=np.zeros((ctx.n, p)), mu=mu, Sigma=sigma, sigma_eps2=noise_var, sigma_s2=1.0
     )
 
     got = bhm_step_signals(state, ctx, ZERO_NORMALS)

@@ -11,7 +11,7 @@ from gpcurve import results
 from gpcurve.babf import babf_run
 from gpcurve.datagen import SimConfig, sim_gfd_rgrid
 from gpcurve.diagnostics import monitored_indices
-from gpcurve.results import Draws, summarize_draws
+from gpcurve.results import Draws, summarize_draws, unpack_lower
 from gpcurve.stochastic import RngStream
 
 
@@ -68,13 +68,13 @@ def test_monitored_sigma_diagonal_equals_the_full_grid_columns():
     assert idx == [10, 20, 29]
     got = draws.grid_sigma_diag(idx)
     assert got.shape == (draws.coef.shape[0], 3)
-    np.testing.assert_allclose(got, draws.grid_sigma_diag()[:, idx], rtol=1e-12, atol=0)
+    sigma = unpack_lower(draws.Sigma)
+    whole = np.sum((draws.basis @ sigma) * draws.basis, axis=2)
+    np.testing.assert_allclose(got, whole[:, idx], rtol=1e-12, atol=0)
 
     # Without a basis the monitored columns are the packed diagonal itself.
     no_basis = dataclasses.replace(draws, basis=None)
-    np.testing.assert_array_equal(
-        no_basis.grid_sigma_diag([1, 5]), no_basis.grid_sigma_diag()[:, [1, 5]]
-    )
+    np.testing.assert_array_equal(no_basis.grid_sigma_diag([1, 5]), sigma[:, [1, 5], [1, 5]])
 
 
 def test_monitored_sigma_diagonal_unpacks_no_draw():

@@ -54,7 +54,7 @@ def test_recorded_draws_unpack_bit_for_bit(case):
     for k in range(mats.shape[0]):
         np.testing.assert_array_equal(bits(unpack_lower(draws.Sigma[k])), bits(mats[k]))
     diag = np.arange(mats.shape[1])
-    np.testing.assert_array_equal(bits(draws.grid_sigma_diag()), bits(mats[:, diag, diag]))
+    np.testing.assert_array_equal(bits(draws.grid_sigma_diag(diag)), bits(mats[:, diag, diag]))
 
 
 @SETTINGS
