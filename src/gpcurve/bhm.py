@@ -35,6 +35,7 @@ from gpcurve import stochastic
 from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, empirical_estimates
+from gpcurve.gridutil import grid_positions
 from gpcurve.results import Draws, SmoothResult, scalar_summary, summarize_draws
 from gpcurve.stochastic import (
     RngStream,
@@ -125,14 +126,12 @@ class SelectionMap:
 
     @classmethod
     def build(cls, data: FunctionalDataset) -> "SelectionMap":
-        pooled = data.pooled_grid
-        indices = []
-        for i, curve in enumerate(data.curves):
-            idx = np.searchsorted(pooled, curve.grid)
-            if np.any(idx >= pooled.size) or not np.array_equal(pooled[idx], curve.grid):
-                raise ValueError(f"curve {i} has grid points outside the pooled grid")
-            indices.append(idx.astype(np.intp))
-        return cls(indices=indices)
+        return cls(
+            indices=[
+                grid_positions(data.pooled_grid, curve.grid, f"curve {i}", "the pooled grid")
+                for i, curve in enumerate(data.curves)
+            ]
+        )
 
 
 @dataclass

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -33,16 +34,20 @@ from gpcurve.diagnostics import (
 from gpcurve.io import (
     RunConfig,
     UnsupportedFeatureError,
+    check_same_dataset,
+    curve_fits,
+    estimate,
     load_dataset,
     load_results,
-    read_matrix,
+    load_sidecar_matrix,
     save_dataset,
     save_results,
 )
+from gpcurve.io import read_matrix  # noqa: F401  (wrapped by bench/layers.py)
 from gpcurve.stochastic import FactorizationError, RngStream
 
-# Callees that pull in scipy.interpolate, scipy.optimize and scipy.sparse,
-# mapped to their home modules.  They are imported on first attribute
+# Names whose modules pull in scipy.interpolate, scipy.optimize and
+# scipy.sparse, mapped to those modules.  They are imported on first attribute
 # access (PEP 562), so `simulate` and `diagnose` start without them.
 # Commands call them as attributes of this module (`_cli.<name>`), which
 # keeps them patchable by name like the eagerly imported callees.
@@ -53,6 +58,7 @@ _DEFERRED = {
     "build_hyperparams": "gpcurve.empirical",
     "empirical_estimates": "gpcurve.empirical",
     "run_regression_protocol": "gpcurve.protocol",
+    "DEFAULT_X_NBASIS": "gpcurve.fregress",
 }
 
 _cli = sys.modules[__name__]
@@ -82,7 +88,15 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from err
 
 
+def _require_out_dir(flag: str, path: str) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path}: directory {parent} does not exist")
+
+
 def cmd_simulate(args) -> int:
+    _require_out_dir("--out", args.out)
     cfg = SimConfig(
         n=args.n,
         p=args.p,
@@ -134,12 +148,8 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _monitored_matrix(monitored: dict[str, np.ndarray]) -> tuple[list[str], np.ndarray]:
-    names = list(monitored)
-    return names, np.column_stack([monitored[k] for k in names])
-
-
 def cmd_smooth(args) -> int:
+    _require_out_dir("--out", args.out)
     if args.no_draws and args.chains > 1:
         # Chains after the first contribute only their monitored draws.
         raise ValueError(
@@ -199,10 +209,11 @@ def cmd_smooth(args) -> int:
         if not args.no_draws:
             mu = draws.grid_mu()
             sigma_diag = draws.grid_sigma_diag(monitored_indices(mu.shape[1]))
-            names, mat = _monitored_matrix(
-                monitored_scalars(draws.precision, draws.sigma_s2, mu, sigma_diag)
-            )
-            sidecar[f"monitored_chain{chain}.bin"] = {"matrix": mat, "names": names}
+            monitored = monitored_scalars(draws.precision, draws.sigma_s2, mu, sigma_diag)
+            sidecar[f"monitored_chain{chain}.bin"] = {
+                "matrix": np.column_stack(list(monitored.values())),
+                "names": list(monitored),
+            }
             if chain == 0:
                 resid = np.concatenate(draws.resid, axis=1)
                 sidecar[f"residuals_chain{chain}.bin"] = {
@@ -214,7 +225,7 @@ def cmd_smooth(args) -> int:
         # Drop this chain's draws before the next chain allocates its own.
         del draws, result
 
-    save_results(args.out, primary, cfg, sidecar or None)
+    save_results(args.out, primary, cfg, data, sidecar or None)
     pmin = float(np.min(primary.pmin_vec))
     print(
         f"wrote {args.out}: {cfg.smethod} on {data.n_curves} curves, "
@@ -232,29 +243,28 @@ def _collect_monitored(payloads) -> tuple[list[str], list[np.ndarray]]:
     names: list[str] | None = None
     series: list[np.ndarray] = []
     for payload in payloads:
-        draws = payload.get("draws")
-        if not draws:
-            continue
-        base = payload["_path"].parent / draws["dir"]
-        for fname, entry in draws["files"].items():
+        files = (payload.get("draws") or {}).get("files", {})
+        for fname, entry in files.items():
             if not fname.startswith("monitored_chain"):
                 continue
-            mat = read_matrix(base / fname)
             if names is None:
                 names = list(entry["names"])
             elif list(entry["names"]) != names:
                 raise ValueError(
                     "results files monitor different scalars; rerun with one config"
                 )
-            series.append(mat)
+            series.append(load_sidecar_matrix(payload, fname))
     return names or [], series
 
 
 def cmd_diagnose(args) -> int:
+    if args.csv_prefix:
+        _require_out_dir("--csv-prefix", args.csv_prefix)
     payloads = [load_results(p) for p in args.results]
     methods = {p["method"] for p in payloads}
     if len(methods) > 1:
         raise ValueError(f"results mix methods {sorted(methods)}; diagnose one at a time")
+    check_same_dataset(payloads)
 
     rows_psrf: list[tuple[str, float]] = []
     names, series = _collect_monitored(payloads)
@@ -277,7 +287,7 @@ def cmd_diagnose(args) -> int:
         )
 
     first = payloads[0]
-    pmin_vec = np.asarray(first["estimates"]["pmin_vec"], dtype=float)
+    pmin_vec = estimate(first, "pmin_vec")
     labels = [interpret_pmin(p) for p in pmin_vec]
     print(f"fit p-values over {pmin_vec.size} curves (smallest {pmin_vec.min():.4f}):")
     for band in (interpret_pmin(1.0), interpret_pmin(0.1), interpret_pmin(0.0)):
@@ -289,39 +299,28 @@ def cmd_diagnose(args) -> int:
         data, meta = load_dataset(args.data)
         if any(c.truth is None for c in data.curves):
             raise ValueError("dataset carries no true signals; cannot score accuracy")
-        grid = first["grid"]
-        est = first["estimates"]
-        for i, curve in enumerate(data.curves):
-            if first["method"] == "bhm":
-                idx = np.searchsorted(grid, curve.grid)
-                fit = np.asarray(est["Z"][i], dtype=float)[idx]
-                lo = np.asarray(est["Z_CL"][i], dtype=float)[idx]
-                hi = np.asarray(est["Z_UL"][i], dtype=float)[idx]
-            else:
-                fit = np.asarray(est["Zt"][i], dtype=float)
-                lo = np.asarray(est["Zt_CL"][i], dtype=float)
-                hi = np.asarray(est["Zt_UL"][i], dtype=float)
-            row = {
-                "curve": i,
-                "rmse_raw": accuracy(curve.raw, curve.truth)["rmse"],
-                "rmse_fit": accuracy(fit, curve.truth)["rmse"],
-            }
-            if lo is not None:
-                row["coverage"] = coverage(lo, hi, curve.truth)
-            rows_curves.append(row)
+        for i, (curve, (fit, lo, hi)) in enumerate(
+            zip(data.curves, curve_fits(first, data, args.data))
+        ):
+            rows_curves.append(
+                {
+                    "curve": i,
+                    "rmse_raw": accuracy(curve.raw, curve.truth)["rmse"],
+                    "rmse_fit": accuracy(fit, curve.truth)["rmse"],
+                    "coverage": coverage(lo, hi, curve.truth),
+                }
+            )
         mean_raw = float(np.mean([r["rmse_raw"] for r in rows_curves]))
         mean_fit = float(np.mean([r["rmse_fit"] for r in rows_curves]))
+        mean_cov = float(np.mean([r["coverage"] for r in rows_curves]))
         print(f"signal accuracy: rmse {mean_fit:.4f} fitted vs {mean_raw:.4f} raw")
-        if rows_curves and "coverage" in rows_curves[0]:
-            mean_cov = float(np.mean([r["coverage"] for r in rows_curves]))
-            print(f"pointwise 95% band coverage of the true signals: {mean_cov:.4f}")
+        print(f"pointwise 95% band coverage of the true signals: {mean_cov:.4f}")
         sim = meta.get("sim_config")
-        mu_key = "mu" if "mu" in est else "mu_cgrid"
-        if sim is not None and mu_key in est:
-            mu_true = true_mean_function(bool(sim["stat"]))(grid)
-            mu_ci = np.asarray(est[f"{mu_key}_CI"], dtype=float)
+        mu, mu_ci = estimate(first, "mu"), estimate(first, "mu_CI")
+        if sim is not None and mu is not None and mu_ci is not None:
+            mu_true = true_mean_function(bool(sim["stat"]))(first["grid"])
             print(
-                f"mean accuracy: rmse {accuracy(np.asarray(est[mu_key]), mu_true)['rmse']:.4f}, "
+                f"mean accuracy: rmse {accuracy(mu, mu_true)['rmse']:.4f}, "
                 f"95% CI coverage {coverage(mu_ci[0], mu_ci[1], mu_true):.4f}"
             )
 
@@ -341,15 +340,18 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    if args.replicates < 2:
+        raise ValueError(f"--replicates {args.replicates}: need at least 2 (the MSE std)")
+    if args.grid_len < _cli.DEFAULT_X_NBASIS:
+        raise ValueError(
+            f"--grid-len {args.grid_len}: need at least {_cli.DEFAULT_X_NBASIS}, "
+            "the size of the covariate basis"
+        )
+    if args.out:
+        _require_out_dir("--out", args.out)
     data, meta = load_dataset(args.data)
     payload = load_results(args.results)
-    est = payload["estimates"]
-    if payload["method"] == "babf":
-        smoothed = [np.asarray(z, dtype=float) for z in est["Zt"]]
-    else:
-        grid = payload["grid"]
-        Z = np.asarray(est["Z"], dtype=float)
-        smoothed = [Z[i, np.searchsorted(grid, c.grid)] for i, c in enumerate(data.curves)]
+    smoothed = [fit for fit, _, _ in curve_fits(payload, data, args.data)]
     report = _cli.run_regression_protocol(
         data,
         smoothed,
@@ -362,26 +364,8 @@ def cmd_regress(args) -> int:
     )
     print(report.table_text())
     if args.out:
-        cells = {
-            f"{model}/{inp}/{split}": dataclasses.asdict(report.cell(model, inp, split))
-            for model in ("scalar", "functional")
-            for inp in ("sampler", "css")
-            for split in ("fitted", "predicted")
-        }
         with open(args.out, "w") as handle:
-            json.dump(
-                {
-                    "format": "gpcurve-regression-report",
-                    "version": "1.0",
-                    "n_train": report.n_train,
-                    "n_test": report.n_test,
-                    "replicates": report.replicates,
-                    "lamb": report.lamb,
-                    "cells": cells,
-                },
-                handle,
-                indent=1,
-            )
+            json.dump(report.to_dict(), handle, indent=1)
         print(f"wrote {args.out}")
     return EXIT_OK
 

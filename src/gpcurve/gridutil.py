@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_grid", "default_lambda_grid", "pooled_union"]
+__all__ = ["check_grid", "default_lambda_grid", "grid_positions", "pooled_union"]
 
 
 def check_grid(grid, name: str = "grid") -> np.ndarray:
@@ -23,6 +23,16 @@ def check_grid(grid, name: str = "grid") -> np.ndarray:
             )
         raise ValueError(f"{name} must be strictly increasing (violated at index {i})")
     return grid
+
+
+def grid_positions(grid: np.ndarray, points: np.ndarray, what: str, where: str) -> np.ndarray:
+    """Positions of ``points`` in the sorted ``grid``.  Raises ``ValueError``
+    ("<what> has grid points outside <where>") unless each point is a point
+    of the grid."""
+    idx = np.searchsorted(grid, points)
+    if np.any(idx >= grid.size) or not np.array_equal(grid[idx], points):
+        raise ValueError(f"{what} has grid points outside {where}")
+    return idx.astype(np.intp)
 
 
 def pooled_union(grids) -> np.ndarray:

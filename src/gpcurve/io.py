@@ -3,10 +3,16 @@
 Datasets and results are JSON; bulky MCMC draws go to an optional binary
 sidecar directory next to the results file.  All writes are atomic
 (write to a temp name in the same directory, then rename).
+
+A results file names its estimates by method (``ESTIMATE_KEYS``) and
+records the fingerprint of the dataset it was fitted to
+(``dataset_sha256``, format 1.1).  ``curve_fits`` is the one reader of
+the curve fits, and refuses a results file fitted to another dataset.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -17,15 +23,21 @@ from pathlib import Path
 import numpy as np
 
 from gpcurve.datagen import Curve, FunctionalDataset
-from gpcurve.gridutil import default_lambda_grid
+from gpcurve.gridutil import default_lambda_grid, grid_positions
 from gpcurve.results import SmoothResult
 from gpcurve.stochastic import SpdMatrix
 
 __all__ = [
+    "ESTIMATE_KEYS",
     "RunConfig",
     "UnsupportedFeatureError",
+    "check_same_dataset",
+    "curve_fits",
+    "dataset_sha256",
+    "estimate",
     "load_dataset",
     "load_results",
+    "load_sidecar_matrix",
     "read_matrix",
     "save_dataset",
     "save_results",
@@ -35,6 +47,7 @@ __all__ = [
 DATASET_FORMAT = "gpcurve-dataset"
 RESULTS_FORMAT = "gpcurve-results"
 FORMAT_VERSION = "1.0"
+RESULTS_VERSION = "1.1"
 
 MATRIX_MAGIC = b"GPCVMAT1"  # 8 bytes; header is magic + uint32 rows + uint32 cols
 
@@ -127,17 +140,21 @@ def _umask() -> int:
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            # mkstemp creates 0600; give the file the mode a plain open would.
-            os.fchmod(handle.fileno(), 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+                # mkstemp creates 0600; give the file the mode a plain open would.
+                os.fchmod(handle.fileno(), 0o666 & ~_umask())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        # Name the file asked for, not the temporary one.
+        raise OSError(err.errno, err.strerror, str(path)) from err
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
@@ -217,15 +234,18 @@ def load_dataset(path) -> tuple[FunctionalDataset, dict]:
     for i, entry in enumerate(payload["curves"]):
         if "t" not in entry or "x" not in entry:
             raise ValueError(f"curve {i} in {path} is missing 't' or 'x'")
-        curves.append(
-            Curve(
-                grid=np.asarray(entry["t"], dtype=float),
-                raw=np.asarray(entry["x"], dtype=float),
-                truth=None
-                if "truth" not in entry
-                else np.asarray(entry["truth"], dtype=float),
+        try:
+            curves.append(
+                Curve(
+                    grid=np.asarray(entry["t"], dtype=float),
+                    raw=np.asarray(entry["x"], dtype=float),
+                    truth=None
+                    if "truth" not in entry
+                    else np.asarray(entry["truth"], dtype=float),
+                )
             )
-        )
+        except ValueError as err:
+            raise ValueError(f"curve {i} in {path}: {err}") from err
     meta = payload.get("meta", {})
     if "domain" not in meta or len(meta["domain"]) != 2:
         raise ValueError(f"{path} meta must carry a two-element 'domain'")
@@ -253,72 +273,63 @@ def _listify(value):
     return value
 
 
-def _result_estimates(result: SmoothResult) -> dict:
-    """Method-appropriate estimate names (grid-space names carry the
-    evaluation-grid suffix for the basis-approximated sampler)."""
-    if result.method == "bhm":
-        mapping = {
-            "Z": result.Z,
-            "Z_CL": result.Z_CL,
-            "Z_UL": result.Z_UL,
-            "Sigma": result.Sigma,
-            "Sigma_CL": result.Sigma_CL,
-            "Sigma_UL": result.Sigma_UL,
-            "Sigma_SE": result.Sigma_SE,
-            "mu": result.mu,
-            "mu_CI": result.mu_CI,
-        }
-    else:
-        mapping = {
-            "Zt": result.Zt,
-            "Zt_CL": result.Zt_CL,
-            "Zt_UL": result.Zt_UL,
-            "Z_cgrid": result.Z,
-            "Z_cgrid_CL": result.Z_CL,
-            "Z_cgrid_UL": result.Z_UL,
-            "Sigma_cgrid": result.Sigma,
-            "Sigma_cgrid_CL": result.Sigma_CL,
-            "Sigma_cgrid_UL": result.Sigma_UL,
-            "Sigma_SE": result.Sigma_SE,
-            "mu_cgrid": result.mu,
-            "mu_cgrid_CI": result.mu_CI,
-            "Zeta": result.Zeta,
-            "Zeta_CL": result.Zeta_CL,
-            "Zeta_UL": result.Zeta_UL,
-            "Sigma_zeta": result.Sigma_zeta,
-            "Sigma_zeta_CL": result.Sigma_zeta_CL,
-            "Sigma_zeta_UL": result.Sigma_zeta_UL,
-            "Sigma_zeta_SE": result.Sigma_zeta_SE,
-            "mu_zeta": result.mu_zeta,
-            "mu_zeta_CI": result.mu_zeta_CI,
-            "Sigma_tau": result.Sigma_tau,
-            "mu_tau": result.mu_tau,
-            "Btau": result.Btau,
-            "BT": result.BT,
-            "knots": result.knots,
-            "tau": result.tau,
-        }
-    mapping.update(
-        {
-            "rn": result.rn,
-            "rn_CI": result.rn_CI,
-            "rs": result.rs,
-            "rs_CI": result.rs_CI,
-            "rho": result.rho,
-            "nu": result.nu,
-            "pmin_vec": result.pmin_vec,
-        }
-    )
-    return {k: _listify(v) for k, v in mapping.items()}
+def _named(*entries) -> tuple[tuple[str, str], ...]:
+    """(field, key) pairs; a bare name is both."""
+    return tuple((e, e) if isinstance(e, str) else e for e in entries)
+
+
+_SCALARS = ("rn", "rn_CI", "rs", "rs_CI", "rho", "nu", "pmin_vec")
+
+# The estimates of a results file: (SmoothResult field, file key) per
+# method, in write order.  The first three are each curve's fit and its 95%
+# band, on the results grid for bhm and on the curve's own grid for babf.
+# babf's grid-space keys carry the `_cgrid` suffix of its evaluation grid.
+ESTIMATE_KEYS = {
+    "bhm": _named(
+        "Z", "Z_CL", "Z_UL", "Sigma", "Sigma_CL", "Sigma_UL", "Sigma_SE", "mu", "mu_CI",
+        *_SCALARS,
+    ),
+    "babf": _named(
+        "Zt", "Zt_CL", "Zt_UL",
+        ("Z", "Z_cgrid"), ("Z_CL", "Z_cgrid_CL"), ("Z_UL", "Z_cgrid_UL"),
+        ("Sigma", "Sigma_cgrid"), ("Sigma_CL", "Sigma_cgrid_CL"), ("Sigma_UL", "Sigma_cgrid_UL"),
+        "Sigma_SE", ("mu", "mu_cgrid"), ("mu_CI", "mu_cgrid_CI"),
+        "Zeta", "Zeta_CL", "Zeta_UL",
+        "Sigma_zeta", "Sigma_zeta_CL", "Sigma_zeta_UL", "Sigma_zeta_SE", "mu_zeta", "mu_zeta_CI",
+        "Sigma_tau", "mu_tau", "Btau", "BT", "knots", "tau",
+        *_SCALARS,
+    ),
+}
+
+
+def _key(method: str, field: str) -> str:
+    return dict(ESTIMATE_KEYS[method])[field]
+
+
+def _fit_keys(method: str) -> list[str]:
+    return [key for _, key in ESTIMATE_KEYS[method][:3]]
+
+
+def dataset_sha256(data: FunctionalDataset) -> str:
+    """Fingerprint of a dataset as loaded: for each curve its point count
+    (uint64), then its grid, then its raw values (float64), all little-endian."""
+    digest = hashlib.sha256()
+    for curve in data.curves:
+        digest.update(struct.pack("<Q", curve.grid.size))
+        digest.update(np.ascontiguousarray(curve.grid, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(curve.raw, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def save_results(
     path,
     result: SmoothResult,
     config: RunConfig,
+    data: FunctionalDataset,
     sidecar: dict | None = None,
 ) -> None:
-    """Write a results file; ``sidecar`` (chain draw matrices) is optional.
+    """Write the results of fitting ``data``; ``sidecar`` (chain draw
+    matrices) is optional.
 
     ``sidecar`` maps relative file names to 2-d arrays; they land in a
     ``<stem>.draws`` directory next to the results file, described under
@@ -327,17 +338,20 @@ def save_results(
     path = Path(path)
     payload = {
         "format": RESULTS_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": RESULTS_VERSION,
         "method": result.method,
+        "dataset_sha256": dataset_sha256(data),
         "config": config.to_dict(),
         "runtime_seconds": result.runtime_seconds,
         "grid": result.grid.tolist(),
-        "estimates": _result_estimates(result),
+        "estimates": {
+            key: _listify(getattr(result, field)) for field, key in ESTIMATE_KEYS[result.method]
+        },
         "draws": None,
     }
     if sidecar:
         draws_dir = path.with_name(path.stem + ".draws")
-        draws_dir.mkdir(parents=True, exist_ok=True)
+        draws_dir.mkdir(exist_ok=True)
         entries = {}
         for name, spec in sidecar.items():
             write_matrix(draws_dir / name, spec["matrix"])
@@ -346,18 +360,11 @@ def save_results(
     _atomic_write_json(path, payload)
 
 
-# The estimates that `diagnose` and `regress` read, per method.
-_READ_ESTIMATES = {
-    "bhm": ("Z", "Z_CL", "Z_UL", "pmin_vec"),
-    "babf": ("Zt", "Zt_CL", "Zt_UL", "pmin_vec"),
-}
-
-
 def load_results(path) -> dict:
     """Read a results file; returns the payload with the grid as an array.
 
     Raises ``ValueError`` naming the file and the key when the method, the
-    grid, the estimates or one of the estimates the CLI reads is missing.
+    grid, the estimates, the curve fits or the fit p-values are missing.
     """
     path = Path(path)
     try:
@@ -371,14 +378,14 @@ def load_results(path) -> dict:
         if payload.get(key) is None:
             raise ValueError(f"{path} has no {key!r}")
     method = payload["method"]
-    if method not in _READ_ESTIMATES:
+    if method not in ESTIMATE_KEYS:
         raise ValueError(
-            f"{path} has method {method!r}, expected one of {sorted(_READ_ESTIMATES)}"
+            f"{path} has method {method!r}, expected one of {sorted(ESTIMATE_KEYS)}"
         )
     est = payload["estimates"]
     if not isinstance(est, dict):
         raise ValueError(f"{path} has no 'estimates' object")
-    for key in _READ_ESTIMATES[method]:
+    for key in (*_fit_keys(method), _key(method, "pmin_vec")):
         if est.get(key) is None:
             raise ValueError(f"{path} has no estimate {key!r} ({method} results)")
     payload["grid"] = np.asarray(payload["grid"], dtype=float)
@@ -395,3 +402,64 @@ def load_sidecar_matrix(results_payload: dict, name: str) -> np.ndarray:
         raise ValueError(f"sidecar has no entry {name!r}; has {sorted(draws['files'])}")
     base = results_payload["_path"].parent / draws["dir"]
     return read_matrix(base / name)
+
+
+def estimate(payload: dict, field: str) -> np.ndarray | None:
+    """The estimate of SmoothResult ``field`` in a loaded results file, under
+    whichever key its method writes it; None when the file has none."""
+    value = payload["estimates"].get(_key(payload["method"], field))
+    return None if value is None else np.asarray(value, dtype=float)
+
+
+def curve_fits(
+    payload: dict, data: FunctionalDataset, data_path
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each curve's (fit, lower, upper) on the curve's own grid, from a
+    loaded results file and the dataset at ``data_path``.
+
+    Raises ``ValueError`` naming both files when the results were fitted to
+    another dataset: by the recorded fingerprint (format 1.1), and by the
+    curve count and each curve's grid, naming the curve.
+    """
+    path = payload["_path"]
+    recorded = payload.get("dataset_sha256")
+    if recorded is not None and recorded != dataset_sha256(data):
+        raise ValueError(
+            f"{path} was fitted to another dataset than {data_path} (dataset_sha256 differs)"
+        )
+    rows = [payload["estimates"][key] for key in _fit_keys(payload["method"])]
+    if len(rows[0]) != data.n_curves:
+        raise ValueError(
+            f"{path} holds fits of {len(rows[0])} curves, {data_path} has {data.n_curves}"
+        )
+    fits = []
+    if payload["method"] == "babf":
+        for i, curve in enumerate(data.curves):
+            fit = tuple(np.asarray(r[i], dtype=float) for r in rows)
+            if any(f.shape != curve.grid.shape for f in fit):
+                raise ValueError(
+                    f"curve {i}: {path} holds a fit of {fit[0].size} points, "
+                    f"{data_path} has {curve.grid.size}"
+                )
+            fits.append(fit)
+        return fits
+    grid = payload["grid"]
+    mats = [np.asarray(r, dtype=float) for r in rows]
+    if any(m.shape != (data.n_curves, grid.size) for m in mats):
+        raise ValueError(f"{path} holds curve fits that do not match its grid")
+    for i, curve in enumerate(data.curves):
+        idx = grid_positions(grid, curve.grid, f"curve {i} of {data_path}", f"the grid of {path}")
+        fits.append(tuple(m[i, idx] for m in mats))
+    return fits
+
+
+def check_same_dataset(payloads) -> None:
+    """Refuse loaded results files whose recorded datasets differ, naming
+    two of them."""
+    recorded = [(p["dataset_sha256"], p["_path"]) for p in payloads if p.get("dataset_sha256")]
+    for sha, path in recorded[1:]:
+        if sha != recorded[0][0]:
+            raise ValueError(
+                f"{recorded[0][1]} and {path} were fitted to different datasets; "
+                "diagnose one dataset at a time"
+            )

@@ -10,7 +10,7 @@ true responses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,18 @@ class ProtocolReport:
 
     def cell(self, model: str, inp: str, split: str) -> ProtocolCell:
         return self.cells[(model, inp, split)]
+
+    def to_dict(self) -> dict:
+        """The report as ``regress --out`` writes it; cells keyed model/input/split."""
+        return {
+            "format": "gpcurve-regression-report",
+            "version": "1.0",
+            "n_train": self.n_train,
+            "n_test": self.n_test,
+            "replicates": self.replicates,
+            "lamb": self.lamb,
+            "cells": {"/".join(key): asdict(cell) for key, cell in self.cells.items()},
+        }
 
     def table_text(self) -> str:
         lines = [

@@ -328,3 +328,89 @@ def test_two_chain_smooth_writes_what_summarizing_every_chain_wrote(
     assert sorted(p.name for p in got_dir.iterdir()) == names
     for fname in names:
         assert (got_dir / fname).read_bytes() == (want_dir / fname).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "smooth", "diagnose", "regress"])
+def test_missing_output_directory_exits_2_before_any_work(
+    tmp_path, dataset, bhm_results, monkeypatch, capsys, command
+):
+    def never(*args, **kwargs):
+        raise AssertionError("no input may be read")
+
+    monkeypatch.setattr(cli, "load_dataset", never)
+    monkeypatch.setattr(cli, "load_results", never)
+    missing = tmp_path / "nodir" / "a"
+    data, fit = str(dataset), str(bhm_results)
+    flag, argv = {
+        "simulate": ("--out", ("simulate", "--out", str(missing / "d.json"))),
+        "smooth": (
+            "--out",
+            ("smooth", "--data", data, "--out", str(missing / "fit.json"), "--smethod", "bhm",
+             "--M", "30", "--Burnin", "10", "--no-draws"),
+        ),
+        "diagnose": ("--csv-prefix", ("diagnose", fit, "--csv-prefix", str(missing / "x"))),
+        "regress": (
+            "--out",
+            ("regress", "--data", data, "--results", fit, "--out", str(missing / "r.json")),
+        ),
+    }[command]
+    assert run(*argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert flag in err and str(missing) in err and ".tmp" not in err, err
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(("--replicates", "1"), "--replicates 1"), (("--grid-len", "19"), "--grid-len 19")],
+)
+def test_regress_flags_below_their_minimum_exit_2_naming_the_flag(
+    tmp_path, dataset, bhm_results, capsys, flags, named
+):
+    report = tmp_path / "report.json"
+    argv = ("regress", "--data", str(dataset), "--results", str(bhm_results), "--n-train", "5")
+    assert run(*argv, "--replicates", "2", "--grid-len", "20", *flags, "--out", str(report)) == 2
+    assert named in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_results_of_another_dataset_exit_2_naming_both_files(
+    tmp_path, dataset, bhm_results, capsys
+):
+    other = tmp_path / "other.json"
+    assert run("simulate", "--out", str(other), "--n", "8", "--p", "12", "--seed", "4") == 0
+    other_fit = tmp_path / "other_fit.json"
+    assert run(
+        "smooth", "--data", str(other), "--out", str(other_fit), "--smethod", "bhm",
+        "--M", "40", "--Burnin", "10", "--ws", "1.0", "--no-draws",
+    ) == 0
+    capsys.readouterr()
+    for argv, files in [
+        (("diagnose", str(bhm_results), "--data", str(other)), (bhm_results, other)),
+        (("regress", "--data", str(other), "--results", str(bhm_results), "--n-train", "5",
+          "--replicates", "2", "--grid-len", "20"), (bhm_results, other)),
+        (("diagnose", str(bhm_results), str(other_fit)), (bhm_results, other_fit)),
+    ]:
+        assert run(*argv) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert all(str(f) in err for f in files), err
+
+
+def test_diagnose_and_regress_read_a_v10_results_file_as_before(
+    tmp_path, dataset, bhm_results, capsys
+):
+    payload = json.loads(bhm_results.read_text())
+    assert payload["version"] == "1.1" and "dataset_sha256" in payload
+    del payload["dataset_sha256"]
+    payload["version"] = "1.0"
+    payload["draws"] = None
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    flags = ("--n-train", "5", "--replicates", "2", "--grid-len", "20")
+    outputs = []
+    for fit in (bhm_results, old):
+        capsys.readouterr()
+        assert run("diagnose", str(fit), "--data", str(dataset)) == 0
+        assert run("regress", "--data", str(dataset), "--results", str(fit), *flags) == 0
+        outputs.append(capsys.readouterr().out.split("fit p-values", 1)[1])
+    assert outputs[0] == outputs[1]

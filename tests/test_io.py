@@ -9,8 +9,11 @@ from gpcurve.bhm import bhm_run
 from gpcurve.datagen import SimConfig, sim_gfd
 from gpcurve.empirical import build_hyperparams, empirical_estimates
 from gpcurve.io import (
+    ESTIMATE_KEYS,
     RunConfig,
     UnsupportedFeatureError,
+    curve_fits,
+    dataset_sha256,
     load_dataset,
     load_results,
     load_sidecar_matrix,
@@ -19,6 +22,7 @@ from gpcurve.io import (
     save_results,
     write_matrix,
 )
+from gpcurve.results import SmoothResult
 from gpcurve.stochastic import RngStream
 
 
@@ -180,7 +184,7 @@ def bhm_result(small_data):
     return draws, result
 
 
-def test_results_round_trip_with_sidecar(tmp_path, bhm_result):
+def test_results_round_trip_with_sidecar(tmp_path, small_data, bhm_result):
     draws, result = bhm_result
     cfg = RunConfig(smethod="bhm", M=30, Burnin=10)
     path = tmp_path / "res.json"
@@ -190,7 +194,7 @@ def test_results_round_trip_with_sidecar(tmp_path, bhm_result):
             "names": ["noise_precision", "sigma_s2"],
         }
     }
-    save_results(path, result, cfg, sidecar=sidecar)
+    save_results(path, result, cfg, small_data, sidecar=sidecar)
 
     payload = load_results(path)
     assert payload["method"] == "bhm"
@@ -212,10 +216,10 @@ def test_results_round_trip_with_sidecar(tmp_path, bhm_result):
         load_sidecar_matrix(payload, "missing.bin")
 
 
-def test_results_without_sidecar(tmp_path, bhm_result):
+def test_results_without_sidecar(tmp_path, small_data, bhm_result):
     _, result = bhm_result
     path = tmp_path / "res.json"
-    save_results(path, result, RunConfig(smethod="bhm", M=30, Burnin=10))
+    save_results(path, result, RunConfig(smethod="bhm", M=30, Burnin=10), small_data)
     payload = load_results(path)
     assert payload["draws"] is None
     with pytest.raises(ValueError, match="no draws sidecar"):
@@ -229,7 +233,9 @@ def test_written_files_honour_the_umask(tmp_path, small_data, bhm_result):
     previous = os.umask(0o022)
     try:
         save_dataset(tmp_path / "d.json", small_data, domain=(0.0, 1.6))
-        save_results(tmp_path / "res.json", result, RunConfig(smethod="bhm"), sidecar=sidecar)
+        save_results(
+            tmp_path / "res.json", result, RunConfig(smethod="bhm"), small_data, sidecar=sidecar
+        )
         assert os.umask(0o022) == 0o022  # writing left the umask as it was
     finally:
         os.umask(previous)
@@ -239,3 +245,92 @@ def test_written_files_honour_the_umask(tmp_path, small_data, bhm_result):
         tmp_path / "res.draws" / "monitored_chain0.bin",
     ):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+
+
+def test_atomic_write_errors_name_the_target_not_the_temporary_file(tmp_path, small_data):
+    target = tmp_path / "nodir" / "d.json"
+    with pytest.raises(FileNotFoundError) as info:
+        save_dataset(target, small_data, domain=(0.0, 1.6))
+    assert str(target) in str(info.value) and ".tmp" not in str(info.value)
+    assert not target.parent.exists()
+
+
+def test_a_bad_curve_grid_is_named_by_curve_and_file(tmp_path, small_data):
+    path = tmp_path / "d.json"
+    save_dataset(path, small_data, domain=(0.0, 1.6))
+    payload = json.loads(path.read_text())
+    payload["curves"][2]["t"][1] = payload["curves"][2]["t"][0]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"curve 2 in {path}: curve grid has duplicate points"):
+        load_dataset(path)
+
+
+def test_estimate_keys_are_the_v1_layout():
+    scalars = ["rn", "rn_CI", "rs", "rs_CI", "rho", "nu", "pmin_vec"]
+    assert [key for _, key in ESTIMATE_KEYS["bhm"]] == [
+        "Z", "Z_CL", "Z_UL", "Sigma", "Sigma_CL", "Sigma_UL", "Sigma_SE", "mu", "mu_CI",
+        *scalars,
+    ]
+    assert [key for _, key in ESTIMATE_KEYS["babf"]] == [
+        "Zt", "Zt_CL", "Zt_UL", "Z_cgrid", "Z_cgrid_CL", "Z_cgrid_UL", "Sigma_cgrid",
+        "Sigma_cgrid_CL", "Sigma_cgrid_UL", "Sigma_SE", "mu_cgrid", "mu_cgrid_CI", "Zeta",
+        "Zeta_CL", "Zeta_UL", "Sigma_zeta", "Sigma_zeta_CL", "Sigma_zeta_UL", "Sigma_zeta_SE",
+        "mu_zeta", "mu_zeta_CI", "Sigma_tau", "mu_tau", "Btau", "BT", "knots", "tau", *scalars,
+    ]
+    for pairs in ESTIMATE_KEYS.values():
+        assert {field for field, _ in pairs} <= set(SmoothResult.__dataclass_fields__)
+
+
+def test_results_record_the_dataset_and_curve_fits_refuse_another(tmp_path, small_data, bhm_result):
+    _, result = bhm_result
+    path = tmp_path / "res.json"
+    save_results(path, result, RunConfig(smethod="bhm", M=30, Burnin=10), small_data)
+    payload = load_results(path)
+    assert payload["version"] == "1.1"
+    assert payload["dataset_sha256"] == dataset_sha256(small_data)
+    assert list(payload["estimates"]) == [key for _, key in ESTIMATE_KEYS["bhm"]]
+
+    fits = curve_fits(payload, small_data, "d.json")
+    for i, (curve, (fit, lo, hi)) in enumerate(zip(small_data.curves, fits)):
+        cols = np.searchsorted(result.grid, curve.grid)
+        np.testing.assert_array_equal(fit, result.Z[i, cols])
+        np.testing.assert_array_equal(lo, result.Z_CL[i, cols])
+        np.testing.assert_array_equal(hi, result.Z_UL[i, cols])
+
+    other = sim_gfd(SimConfig(n=4, p=10, seed=8))
+    with pytest.raises(ValueError, match=f"{path} was fitted to another dataset than other.json"):
+        curve_fits(payload, other, "other.json")
+
+
+def _v10(payload: dict) -> dict:
+    """A loaded results payload as a format 1.0 file gives it: no fingerprint."""
+    return {k: v for k, v in payload.items() if k != "dataset_sha256"}
+
+
+def test_curve_fits_check_each_curve_of_a_v10_file(tmp_path, small_data, bhm_result):
+    _, result = bhm_result
+    path = tmp_path / "res.json"
+    save_results(path, result, RunConfig(smethod="bhm", M=30, Burnin=10), small_data)
+    payload = _v10(load_results(path))
+    assert len(curve_fits(payload, small_data, "d.json")) == 4
+
+    fewer = small_data.__class__(curves=small_data.curves[:3])
+    with pytest.raises(ValueError, match=f"{path} holds fits of 4 curves, d.json has 3"):
+        curve_fits(payload, fewer, "d.json")
+    moved = [c.__class__(grid=c.grid + 1e-3, raw=c.raw) for c in small_data.curves]
+    outside = f"curve 0 of d.json has grid points outside the grid of {path}"
+    with pytest.raises(ValueError, match=outside):
+        curve_fits(payload, small_data.__class__(curves=moved), "d.json")
+
+    babf = {
+        "method": "babf",
+        "_path": path,
+        "estimates": {
+            key: [np.zeros(c.grid.size) for c in small_data.curves]
+            for key in ("Zt", "Zt_CL", "Zt_UL")
+        },
+    }
+    assert len(curve_fits(babf, small_data, "d.json")) == 4
+    babf["estimates"]["Zt_UL"][3] = np.zeros(small_data.curves[3].grid.size + 1)
+    with pytest.raises(ValueError, match=f"curve 3: {path} holds a fit of"):
+        curve_fits(babf, small_data, "d.json")

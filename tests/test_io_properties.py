@@ -122,7 +122,8 @@ def test_results_estimates_round_trip_bit_exact(tmp_path_factory, n, p, data):
         nu=data.draw(finite),
         pmin_vec=array(n),
     )
-    save_results(path, result, RunConfig(smethod="bhm"))
+    fitted = FunctionalDataset([Curve(grid=result.grid, raw=np.zeros(p)) for _ in range(n)])
+    save_results(path, result, RunConfig(smethod="bhm"), fitted)
     est = load_results(path)["estimates"]
     for key, value in est.items():
         want = getattr(result, key)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpcurve.gridutil import check_grid, pooled_union
+from gpcurve.gridutil import check_grid, grid_positions, pooled_union
 from gpcurve.kernels import (
     CovarianceModel,
     MaternParams,
@@ -144,3 +144,13 @@ def test_check_grid_errors():
 def test_pooled_union_merges_and_sorts():
     got = pooled_union([np.array([0.0, 0.5]), np.array([0.25, 0.5, 1.0])])
     np.testing.assert_array_equal(got, [0.0, 0.25, 0.5, 1.0])
+
+
+def test_grid_positions_need_every_point_on_the_grid():
+    grid = np.array([0.0, 0.25, 0.5, 1.0])
+    np.testing.assert_array_equal(grid_positions(grid, np.array([0.25, 1.0]), "c", "g"), [1, 3])
+    # 0.3 lands in range (at 0.5's position) but is no point of the grid.
+    with pytest.raises(ValueError, match="curve 2 has grid points outside the pooled grid"):
+        grid_positions(grid, np.array([0.0, 0.3]), "curve 2", "the pooled grid")
+    with pytest.raises(ValueError, match="outside"):
+        grid_positions(grid, np.array([0.5, 2.0]), "curve 2", "the pooled grid")
