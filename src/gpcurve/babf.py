@@ -26,6 +26,7 @@ from gpcurve.bhm import (
     bhm_step_meancov as babf_step_meancov,
     bhm_step_noise as babf_step_noise,
     bhm_step_scale as babf_step_scale,
+    canonical_signals,
     run_sweeps,
 )
 from gpcurve.bsplines import (
@@ -41,7 +42,7 @@ from gpcurve.diagnostics import pdm_pvalues  # noqa: F401  (wrapped by bench/lay
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.gridutil import check_grid
 from gpcurve.results import Draws, SmoothResult, credible_band, summarize_draws
-from gpcurve.stochastic import RngStream, SpdMatrix, sample_mvn_canonical
+from gpcurve.stochastic import RngStream, SpdMatrix
 from gpcurve.stochastic import sample_inverse_wishart  # noqa: F401  (wrapped by bench/layers.py)
 
 __all__ = [
@@ -191,19 +192,12 @@ def babf_init(ctx: BabfContext, est: EmpiricalEstimates) -> GibbsState:
 def babf_step_coeffs(state: GibbsState, ctx: BabfContext, rng: RngStream) -> np.ndarray:
     """Draw every curve's coefficient vector from its Gaussian conditional.
 
-    Curve i's precision is Sigma^-1 + B_i^T B_i / sigma_eps2.  Each
-    precision is factored once, L_i L_i^T, and the draw is taken as
-    prec_i^-1 (b_i + L_i z_i), one Cholesky solve per curve
-    (:func:`~gpcurve.stochastic.sample_mvn_canonical`), from n * K
-    standard normals.
+    The engine's conjugate draw (:func:`~gpcurve.bhm.canonical_signals`)
+    with the spline rows B_i: curve i's precision is Sigma^-1 +
+    B_i^T B_i / sigma_eps2, the n precisions are factored in one batched
+    Cholesky, and the draw uses n * K standard normals.
     """
-    gen = rng.generator
-    n, K = ctx.n, ctx.dim
-    sig_inv = state.Sigma.inverse()
-    b = (sig_inv @ state.mu)[None, :] + ctx.btx / state.sigma_eps2
-    prec = np.broadcast_to(sig_inv, (n, K, K)).copy()
-    prec += ctx.btb / state.sigma_eps2
-    return sample_mvn_canonical(prec, b, gen.standard_normal((n, K)))
+    return canonical_signals(state, ctx.btb, ctx.btx, rng)
 
 
 def babf_run(

@@ -16,10 +16,12 @@ noise and scale steps, the sweep loop and the summaries are written once,
 here.  Every sweep runs
 signals -> Sigma | Z, mu -> mu | Z, Sigma -> noise | Z -> sigma_s2 | Sigma.
 
-On a common grid all curves share one factorization of a p x p precision.
-On grid subsets the signals are drawn pathwise, so curve i costs one
-factorization of its m_i x m_i observed block: O(sum_i m_i^3) per sweep,
-plus one product of n prior draws with the covariance factor.
+Both samplers draw the signals with :func:`canonical_signals`, babf with
+its spline rows and bhm on a common grid with the identity basis, where all
+curves share one p x p precision and one factorization.  On grid subsets
+bhm draws pathwise: curve i costs one factorization of its m_i x m_i
+observed block, O(sum_i m_i^3) per sweep, plus one product of n prior
+draws with the covariance factor.
 """
 
 from __future__ import annotations
@@ -40,12 +42,9 @@ from gpcurve.results import Draws, SmoothResult, scalar_summary, summarize_draws
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
-    cho_factor_lower,
     cho_solve_batched,
-    cho_solve_lower,
     sample_gamma,
     sample_inverse_wishart,
-    solve_triangular,
 )
 
 __all__ = [
@@ -62,6 +61,7 @@ __all__ = [
     "bhm_step_scale",
     "bhm_step_signals",
     "build_context",
+    "canonical_signals",
     "run_sweeps",
 ]
 
@@ -223,6 +223,24 @@ def bhm_init(ctx: BhmContext, est: EmpiricalEstimates) -> GibbsState:
     )
 
 
+def canonical_signals(
+    state: GibbsState, btb: np.ndarray, btx: np.ndarray, rng: RngStream
+) -> np.ndarray:
+    """Draw every curve's coefficients from N(P_i^-1 b_i, P_i^-1), with
+    P_i = Sigma^-1 + btb_i / s2 and b_i = Sigma^-1 mu + btx_i / s2, where
+    btb_i = B_i^T B_i and btx_i = B_i^T x_i for B_i the curve's basis rows.
+
+    ``btb`` is an (n, dim, dim) stack, or one (dim, dim) matrix all curves
+    share, factored once (:func:`~gpcurve.stochastic.sample_mvn_canonical`);
+    the draw uses one (n, dim) array of standard normals.
+    """
+    sig_inv = state.Sigma.inverse()
+    prec = sig_inv + btb / state.sigma_eps2
+    b = (sig_inv @ state.mu)[None, :] + btx / state.sigma_eps2
+    z = rng.generator.standard_normal(btx.shape)
+    return stochastic.sample_mvn_canonical(prec, b, z)
+
+
 def bhm_step_signals(state: GibbsState, ctx: BhmContext, rng: RngStream) -> np.ndarray:
     """Draw every signal from its Gaussian full conditional.
 
@@ -230,9 +248,8 @@ def bhm_step_signals(state: GibbsState, ctx: BhmContext, rng: RngStream) -> np.n
     (Sigma^-1 + D_i / s2)^-1), with D_i the indicator of its observed points
     and s2 the noise variance.
 
-    On a common grid all curves share one precision and one factorization,
-    taken with raw LAPACK calls; the draw is mean + L^-T z with L the
-    precision factor, from n * p standard normals.
+    On a common grid D_i = I: the draw is :func:`canonical_signals` with the
+    identity basis, as babf's is with its spline rows, from n * p normals.
 
     On grid subsets the draw is pathwise (Matheron's rule; Wilson et al.
     2020): a prior path f_i = mu + L_Sigma z_i, then the correction
@@ -250,18 +267,11 @@ def bhm_step_signals(state: GibbsState, ctx: BhmContext, rng: RngStream) -> np.n
         raise np.linalg.LinAlgError(
             f"noise variance must be positive, got {state.sigma_eps2}"
         )
+    if ctx.common:
+        return canonical_signals(state, np.eye(ctx.dim), ctx.x_scatter, rng)
+
     gen = rng.generator
     n, p = ctx.n, ctx.dim
-
-    if ctx.common:
-        sig_inv = state.Sigma.inverse()
-        b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
-        prec = sig_inv + np.eye(p) / state.sigma_eps2
-        chol = cho_factor_lower(prec)
-        means = cho_solve_lower(chol, b.T).T
-        z = gen.standard_normal((p, n))
-        return means + solve_triangular(chol, z, lower=True, trans=True).T
-
     sigma = state.Sigma.mat
     paths = state.mu + gen.standard_normal((n, p)) @ state.Sigma.chol.T
     noise = np.sqrt(state.sigma_eps2) * gen.standard_normal(ctx.n_obs)

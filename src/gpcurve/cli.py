@@ -44,6 +44,7 @@ from gpcurve.io import (
     save_results,
 )
 from gpcurve.io import read_matrix  # noqa: F401  (wrapped by bench/layers.py)
+from gpcurve.results import check_retained
 from gpcurve.stochastic import FactorizationError, RngStream
 
 # Names whose modules pull in scipy.interpolate, scipy.optimize and
@@ -178,6 +179,12 @@ def cmd_smooth(args) -> int:
             eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
         run = _cli.babf_run
         run_kwargs = dict(L=cfg.m, tau=tau, eval_grid=eval_grid, domain=domain)
+    # Each chain retains draws of the sampled dimension (the pooled grid for
+    # bhm, the working grid for babf), so refuse what cannot fit before the
+    # estimates are built.
+    dim = data.pooled_grid.size if est_grid is None else est_grid.size
+    sizes = [c.grid.size for c in data.curves]
+    check_retained(data.n_curves, dim, sizes, cfg.M, cfg.Burnin, cfg.resid_thin)
     est = _cli.empirical_estimates(data, candidates=candidates, eval_grid=est_grid)
     hyper = _cli.build_hyperparams(
         est,
@@ -340,6 +347,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    if args.n_train < 1:
+        raise ValueError(f"--n-train {args.n_train}: need at least 1 training curve")
     if args.replicates < 2:
         raise ValueError(f"--replicates {args.replicates}: need at least 2 (the MSE std)")
     if args.grid_len < _cli.DEFAULT_X_NBASIS:
@@ -351,6 +360,11 @@ def cmd_regress(args) -> int:
         _require_out_dir("--out", args.out)
     data, meta = load_dataset(args.data)
     payload = load_results(args.results)
+    if args.n_train >= data.n_curves:
+        raise ValueError(
+            f"--n-train {args.n_train}: need fewer than the {data.n_curves} curves of "
+            f"{args.data}, so that some are left to test on"
+        )
     smoothed = [fit for fit, _, _ in curve_fits(payload, data, args.data)]
     report = _cli.run_regression_protocol(
         data,

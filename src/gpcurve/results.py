@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "Draws",
     "SmoothResult",
+    "check_retained",
     "credible_band",
     "physical_memory_bytes",
     "retained_bytes",
@@ -79,6 +80,27 @@ def retained_bytes(n: int, K: int, curve_sizes, ndraws: int, n_resid: int) -> in
     return 8 * ndraws * (n * K + K + K * (K + 1) // 2 + 2) + 8 * n_resid * sum(curve_sizes)
 
 
+def check_retained(n: int, K: int, curve_sizes, M: int, burnin: int, resid_thin: int) -> None:
+    """Refuse with ``ValueError`` the counts :meth:`Draws.allocate` cannot
+    keep: ``M > burnin >= 0`` and ``resid_thin >= 1`` must hold, and the
+    retained bytes (:func:`retained_bytes`) must fit in the machine's
+    physical memory.  Needs only the sizes, so a run can be refused before
+    any work."""
+    if burnin < 0 or M <= burnin:
+        raise ValueError(f"need M > burnin >= 0, got M={M}, burnin={burnin}")
+    if resid_thin < 1:
+        raise ValueError(f"resid_thin must be at least 1, got {resid_thin}")
+    ndraws = M - burnin
+    need = retained_bytes(n, K, curve_sizes, ndraws, ndraws // resid_thin)
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        raise ValueError(
+            f"keeping {ndraws} draws (--M {M} minus --Burnin {burnin}) needs "
+            f"{need / 2**30:.1f} GiB, more than this machine's "
+            f"{limit / 2**30:.1f} GiB of memory; lower --M or raise --Burnin"
+        )
+
+
 @dataclass
 class Draws:
     """Retained post-burn-in draws in coefficient space, plus thinned
@@ -110,23 +132,12 @@ class Draws:
     ) -> "Draws":
         """Empty draws for sweeps ``burnin`` .. ``M - 1``.
 
-        Refuses with ``ValueError`` before allocating when the retained bytes
-        (:func:`retained_bytes`) exceed the machine's physical memory.
+        Refuses with ``ValueError`` before allocating what
+        :func:`check_retained` refuses.
         """
-        if burnin < 0 or M <= burnin:
-            raise ValueError(f"need M > burnin >= 0, got M={M}, burnin={burnin}")
-        if resid_thin < 1:
-            raise ValueError(f"resid_thin must be at least 1, got {resid_thin}")
+        check_retained(n, K, curve_sizes, M, burnin, resid_thin)
         ndraws = M - burnin
         n_resid = ndraws // resid_thin
-        need = retained_bytes(n, K, curve_sizes, ndraws, n_resid)
-        limit = physical_memory_bytes()
-        if limit is not None and need > limit:
-            raise ValueError(
-                f"keeping {ndraws} draws (--M {M} minus --Burnin {burnin}) needs "
-                f"{need / 2**30:.1f} GiB, more than this machine's "
-                f"{limit / 2**30:.1f} GiB of memory; lower --M or raise --Burnin"
-            )
         return cls(
             coef=np.empty((ndraws, n, K)),
             mu=np.empty((ndraws, K)),

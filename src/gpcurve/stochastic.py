@@ -29,7 +29,6 @@ __all__ = [
     "sample_inverse_wishart",
     "sample_mvn",
     "sample_mvn_canonical",
-    "solve_triangular",
 ]
 
 # Ridge schedule, relative to the mean diagonal of the target matrix: the
@@ -87,18 +86,6 @@ def cho_solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_finite(chol, b)
     x, info = _potrs(chol, b, lower=1)
     _lapack_info(info, "potrs")
-    return x
-
-
-def solve_triangular(tri: np.ndarray, b: np.ndarray, lower: bool, trans: bool) -> np.ndarray:
-    """Solve ``tri x = b``, or ``tri^T x = b`` with ``trans``, for a
-    Fortran-ordered triangular ``tri``, bit-identical to
-    ``scipy.linalg.solve_triangular`` given the same array."""
-    _check_finite(tri, b)
-    x, info = _trtrs(tri, b, lower=int(lower), trans=int(trans))
-    _lapack_info(info, "trtrs")
-    if info:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
 
 
@@ -296,15 +283,20 @@ def cho_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def sample_mvn_canonical(prec: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Batched Gaussian draws given in canonical (precision) form.
 
-    For each ``i`` returns ``prec[i]^-1 (b[i] + L_i z[i])`` with
-    ``prec[i] = L_i L_i^T``, which equals the mean ``prec[i]^-1 b[i]`` plus
-    the perturbation ``L_i^-T z[i]``: a draw from N(prec^-1 b, prec^-1) when
-    ``z[i]`` is standard normal (Rue 2001).  One Cholesky per precision,
-    batched, then one Cholesky solve per row.
+    For each row ``i`` returns ``P_i^-1 (b[i] + L_i z[i])`` with
+    ``P_i = L_i L_i^T``, which equals the mean ``P_i^-1 b[i]`` plus the
+    perturbation ``L_i^-T z[i]``: a draw from N(P^-1 b, P^-1) when ``z[i]``
+    is standard normal (Rue 2001).  ``prec`` is one (dim, dim) precision
+    shared by every row, factored once and solved for all rows in one
+    LAPACK call, or an (n, dim, dim) stack, factored in one batched
+    Cholesky and solved one row at a time.
 
     Raises :class:`numpy.linalg.LinAlgError` when a precision is not
     positive definite.
     """
+    if prec.ndim == 2:
+        chol = cho_factor_lower(prec)
+        return cho_solve_lower(chol, (b + z @ chol.T).T).T
     chol = np.linalg.cholesky(prec)
     return cho_solve_batched(chol, b + np.matmul(chol, z[..., None])[..., 0])
 
@@ -340,8 +332,12 @@ def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
     if p > 1:
         rows, cols = _strict_upper_indices(p)
         u[rows, cols] = gen.standard_normal(rows.size)
-    # U T^T = L^T, so T^T = U^-1 L^T is upper-triangular.
-    chol = solve_triangular(u, scale.chol.T, lower=False, trans=False).T
+    # U T^T = L^T, so T^T = U^-1 L^T is upper-triangular: one LAPACK trtrs.
+    chol_t, info = _trtrs(u, scale.chol.T, lower=0, trans=0)
+    _lapack_info(info, "trtrs")
+    if info:
+        raise np.linalg.LinAlgError(f"singular Bartlett factor: zero at diagonal {info - 1}")
+    chol = chol_t.T
     _check_finite(chol)
     return SpdMatrix(mat=chol @ chol.T, chol=chol)
 

@@ -91,8 +91,10 @@ def test_signal_step_uses_n_times_p_normals_on_irregular_grids():
 
 
 def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
-    # The common-grid branch calls LAPACK directly; it must reproduce the
-    # scipy.linalg formulation bit for bit, from the same random numbers.
+    # On a common grid the draw is the canonical one with a precision shared
+    # by every curve, factored once with raw LAPACK calls: it must reproduce
+    # the scipy.linalg formulation P^-1 (b + L z) bit for bit, from the same
+    # random numbers.
     data = sim_gfd(SimConfig(n=7, p=12, seed=3))
     hyper = _hyper_for(data)
     ctx = build_context(data, hyper)
@@ -108,10 +110,19 @@ def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
     sig_inv = g.T @ g
     b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
     chol = sla.cholesky(sig_inv + np.eye(p) / state.sigma_eps2, lower=True)
-    means = sla.cho_solve((chol, True), b.T).T
-    z = gen.standard_normal((p, n))
-    want = means + sla.solve_triangular(chol, z, trans="T", lower=True).T
+    z = gen.standard_normal((n, p))
+    want = sla.cho_solve((chol, True), (b + z @ chol.T).T).T
     np.testing.assert_array_equal(draw, want)
+
+
+def test_common_grid_signal_step_uses_exactly_n_times_p_normals():
+    data, hyper, ctx, state = tiny_problem(common=True)
+    assert ctx.common
+    rng = RngStream(21, stream_id=1)
+    bhm_step_signals(state, ctx, rng)
+    fresh = RngStream(21, stream_id=1)
+    fresh.generator.standard_normal((ctx.n, ctx.dim))
+    assert rng.generator.bit_generator.state == fresh.generator.bit_generator.state
 
 
 def test_signal_step_rejects_a_non_positive_definite_precision():

@@ -291,6 +291,29 @@ METHOD_ARGS = {
 
 
 @pytest.mark.parametrize("method", sorted(METHOD_ARGS))
+def test_retained_draws_beyond_memory_exit_2_before_the_estimates(
+    tmp_path, dataset, monkeypatch, capsys, method
+):
+    # The guard needs only the dataset's sizes and the flags, so it must
+    # refuse before the empirical estimates are built.
+    def never(*args, **kwargs):
+        raise AssertionError("empirical estimates built for a run that cannot fit")
+
+    monkeypatch.setattr(results, "physical_memory_bytes", lambda: 1 << 20)
+    monkeypatch.setattr(cli, "empirical_estimates", never)
+    out = tmp_path / "fit.json"
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(out), *METHOD_ARGS[method],
+        "--M", "10000", "--Burnin", "2000",
+    )
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "keeping 8000 draws (--M 10000 minus --Burnin 2000) needs" in err, err
+    assert "GiB of memory; lower --M or raise --Burnin" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_ARGS))
 def test_two_chain_smooth_writes_what_summarizing_every_chain_wrote(
     tmp_path, dataset, monkeypatch, method
 ):
@@ -362,7 +385,13 @@ def test_missing_output_directory_exits_2_before_any_work(
 
 @pytest.mark.parametrize(
     "flags, named",
-    [(("--replicates", "1"), "--replicates 1"), (("--grid-len", "19"), "--grid-len 19")],
+    [
+        (("--replicates", "1"), "--replicates 1"),
+        (("--grid-len", "19"), "--grid-len 19"),
+        (("--n-train", "0"), "--n-train 0"),
+        # The dataset has 8 curves: training on all of them leaves none to test.
+        (("--n-train", "8"), "--n-train 8"),
+    ],
 )
 def test_regress_flags_below_their_minimum_exit_2_naming_the_flag(
     tmp_path, dataset, bhm_results, capsys, flags, named

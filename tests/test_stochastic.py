@@ -74,25 +74,33 @@ def spd_stack(n, p, seed):
     return a @ np.transpose(a, (0, 2, 1)) + p * np.eye(p)
 
 
-def test_canonical_draw_matches_the_per_row_closed_form():
-    # With z fixed the draw is deterministic: mean prec^-1 b plus L^-T z.
+@pytest.mark.parametrize("shared", [False, True], ids=["stack", "shared"])
+def test_canonical_draw_matches_the_per_row_closed_form(shared):
+    # With z fixed the draw is deterministic: mean P_i^-1 b plus L_i^-T z.
+    # A 2-d precision is shared by every row.
     n, p = 6, 9
-    prec = spd_stack(n, p, seed=1)
+    prec = spd_stack(1 if shared else n, p, seed=1)
+    if shared:
+        prec = prec[0]
     gen = np.random.default_rng(2)
     b = gen.standard_normal((n, p))
     z = gen.standard_normal((n, p))
     draw = sample_mvn_canonical(prec, b, z)
     for i in range(n):
-        chol = np.linalg.cholesky(prec[i])
-        want = np.linalg.solve(prec[i], b[i]) + sla.solve_triangular(
+        prec_i = prec if shared else prec[i]
+        chol = np.linalg.cholesky(prec_i)
+        want = np.linalg.solve(prec_i, b[i]) + sla.solve_triangular(
             chol, z[i], trans="T", lower=True
         )
         np.testing.assert_allclose(draw[i], want, rtol=1e-10)
 
 
-def test_canonical_draw_rejects_a_non_positive_definite_precision():
+@pytest.mark.parametrize("shared", [False, True], ids=["stack", "shared"])
+def test_canonical_draw_rejects_a_non_positive_definite_precision(shared):
     prec = spd_stack(4, 5, seed=4)
     prec[2, 3, 3] = -1.0
+    if shared:
+        prec = prec[2]
     with pytest.raises(np.linalg.LinAlgError):
         sample_mvn_canonical(prec, np.zeros((4, 5)), np.zeros((4, 5)))
 

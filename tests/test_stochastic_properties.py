@@ -21,6 +21,7 @@ from gpcurve.stochastic import (  # noqa: E402
     SpdMatrix,
     cholesky_with_jitter,
     sample_inverse_wishart,
+    sample_mvn_canonical,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -173,3 +174,17 @@ def test_non_finite_input_raises_value_error(p, seed, bad, where):
     rhs[where % p] = bad
     with pytest.raises(ValueError, match=message):
         SpdMatrix.from_matrix(mat).solve(rhs)
+
+
+@SETTINGS
+@given(p=dims, n=st.integers(1, 6), seed=seeds, cond=st.sampled_from([1e-2, 1.0]))
+def test_canonical_draw_with_a_shared_precision_equals_the_broadcast_stack(p, n, seed, cond):
+    # One (p, p) precision, factored once, gives the draws of the batched
+    # path handed the same precision once per row.
+    prec = random_spd(p, seed, cond)
+    gen = np.random.default_rng(seed + 1)
+    b = gen.standard_normal((n, p))
+    z = gen.standard_normal((n, p))
+    shared = sample_mvn_canonical(prec, b, z)
+    stacked = sample_mvn_canonical(np.broadcast_to(prec, (n, p, p)).copy(), b, z)
+    np.testing.assert_allclose(shared, stacked, rtol=1e-10)
