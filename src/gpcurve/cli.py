@@ -31,6 +31,7 @@ from gpcurve.diagnostics import (
     monitored_scalars,
     psrf,
 )
+from gpcurve.gridutil import check_grid
 from gpcurve.io import (
     RunConfig,
     UnsupportedFeatureError,
@@ -174,7 +175,15 @@ def cmd_smooth(args) -> int:
         est_grid = _cli.babf_working_grid(data.pooled_grid, cfg.m, tau).tau
         eval_grid = None
         if cfg.eval_grid is not None:
-            eval_grid = np.asarray(cfg.eval_grid, dtype=float)
+            # Points outside the domain would be clamped to its ends and
+            # labelled with values they were not evaluated at.
+            eval_grid = check_grid(cfg.eval_grid, "--eval-grid")
+            if eval_grid[0] < domain[0] or eval_grid[-1] > domain[1]:
+                source = "--trange" if cfg.trange else f"the domain of {args.data}"
+                raise ValueError(
+                    f"--eval-grid spans [{float(eval_grid[0])!r}, {float(eval_grid[-1])!r}], "
+                    f"outside {source} [{float(domain[0])!r}, {float(domain[1])!r}]"
+                )
         elif args.eval_grid_len is not None:
             eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
         run = _cli.babf_run

@@ -103,32 +103,33 @@ def _validate_inputs(grid, values, lamb):
 def css_fit(grid, values, lamb: float) -> SplineFit:
     """Fit a cubic smoothing spline at interpolation weight ``lamb``."""
     grid, values = _validate_inputs(grid, values, lamb)
-    alpha = (1.0 - lamb) / lamb
     q, r = _spline_system(grid)
-    m = (r + alpha * (q.T @ q)).tocsc()
-    gamma = sla.solveh_banded(_banded_lower(m), q.T @ values, lower=True)
-    fitted = values - alpha * (q @ gamma)
+    fitted, _ = _penalized_solve(values, (1.0 - lamb) / lamb, q, r, (q.T @ q).tocsc())
     return SplineFit(grid=grid, values=values, fitted=fitted, lamb=float(lamb))
 
 
-def _smoother_trace(grid: np.ndarray, lamb: float, q, r) -> float:
+def _penalized_solve(values, alpha: float, q, r, qtq):
+    """Fitted values ``values - alpha Q M^-1 Q^T values`` with
+    ``M = R + alpha Q^T Q``, and M's lower banded Cholesky factor."""
+    factor = sla.cholesky_banded(_banded_lower(r + alpha * qtq), lower=True)
+    gamma = sla.cho_solve_banded((factor, True), q.T @ values)
+    return values - alpha * (q @ gamma), factor
+
+
+def _smoother_trace(n: int, alpha: float, factor, qtq) -> float:
     """Trace of the smoother matrix: ``n - alpha * tr(M^-1 Q^T Q)``.
 
-    Solved column-by-column through the banded Cholesky factor, chunked so
+    Solved column-by-column through M's banded Cholesky factor, chunked so
     memory stays O(n * chunk) even on dense grids.
     """
-    alpha = (1.0 - lamb) / lamb
-    m = (r + alpha * (q.T @ q)).tocsc()
-    factor = sla.cholesky_banded(_banded_lower(m), lower=True)
-    qtq = (q.T @ q).tocsc()
-    dim = m.shape[0]
+    dim = qtq.shape[0]
     trace_mb = 0.0
     for start in range(0, dim, _TRACE_CHUNK):
         stop = min(start + _TRACE_CHUNK, dim)
         cols = qtq[:, start:stop].toarray()
         sol = sla.cho_solve_banded((factor, True), cols)
         trace_mb += float(np.sum(sol[np.arange(start, stop), np.arange(stop - start)]))
-    return grid.size - alpha * trace_mb
+    return n - alpha * trace_mb
 
 
 def css_gcv(grid, values, candidates=None) -> tuple[SplineFit, float]:
@@ -145,17 +146,16 @@ def css_gcv(grid, values, candidates=None) -> tuple[SplineFit, float]:
         raise ValueError("need at least one candidate lambda")
     grid, values = _validate_inputs(grid, values, float(candidates[0]))
     q, r = _spline_system(grid)
+    qtq = (q.T @ q).tocsc()
     n = grid.size
 
     best_fit = None
     best_score = np.inf
     for lamb in candidates:
         alpha = (1.0 - lamb) / lamb
-        m = (r + alpha * (q.T @ q)).tocsc()
-        gamma = sla.solveh_banded(_banded_lower(m), q.T @ values, lower=True)
-        fitted = values - alpha * (q @ gamma)
+        fitted, factor = _penalized_solve(values, alpha, q, r, qtq)
         rss = float(np.sum((values - fitted) ** 2))
-        denom = n - _smoother_trace(grid, float(lamb), q, r)
+        denom = n - _smoother_trace(n, alpha, factor, qtq)
         score = n * rss / denom**2 if denom > 0.0 else np.inf
         if score < best_score:
             best_score = score

@@ -4,26 +4,35 @@ Two response types share one machinery: a scalar response regressed on
 the integral of the covariate curve against a coefficient function, and a
 concurrent functional response regressed pointwise on the covariate.
 Coefficient functions live in a cubic spline basis with a curvature
-penalty; the penalty weight comes from leave-one-curve-out cross
-validation.
+penalty of a given weight; :func:`cross_validate` scores candidate weights
+by leaving one curve out.
+
+A :class:`RegressionDesign` holds every curve's rows of the linear model,
+built once per set of covariate curves.  A curve's rows do not depend on
+which other curves are fitted with it, so fits, predictions, cross
+validation and bands all select rows from one design.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from gpcurve.bsplines import BSplineBasis, curvature_penalty, eval_basis, uniform_basis
+from gpcurve.bsplines import curvature_penalty, eval_basis, uniform_basis
 from gpcurve.gridutil import check_grid
 
 __all__ = [
+    "RegressionDesign",
     "RegressionFit",
+    "concurrent_design",
     "cross_validate",
     "default_lambda_grid",
     "fit_concurrent",
     "fit_scalar_on_function",
     "predict",
+    "scalar_design",
     "stderr_bands",
     "trapezoid_weights",
 ]
@@ -47,76 +56,109 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+@dataclass(frozen=True)
+class RegressionDesign:
+    """Every curve's rows of one regression model.
+
+    ``rows`` is (n, 1 + kb) for the scalar model, rows ``[1, c_i^T J]``,
+    and (n, p, 2 kb) for the concurrent model, rows
+    ``[phi(t_j), x_i(t_j) phi(t_j)]``.  ``penalty`` is the curvature
+    penalty on the coefficients and ``phi_beta`` the coefficient basis on
+    ``grid``.
+    """
+
+    kind: str
+    grid: np.ndarray
+    rows: np.ndarray
+    penalty: np.ndarray = field(repr=False)
+    phi_beta: np.ndarray = field(repr=False)
+
+    def take(self, idx) -> RegressionDesign:
+        """The design of the curves ``idx``."""
+        return replace(self, rows=self.rows[idx])
+
+
 @dataclass
 class RegressionFit:
     """A fitted penalized functional regression.
 
     ``beta`` is the coefficient function on the grid; ``beta0`` the
     intercept (a constant for scalar responses, a curve for concurrent
-    ones).  Internal matrices are kept so prediction and standard-error
-    bands reuse the exact training pipeline.
+    ones).  ``alpha`` holds the coefficients that multiply a design's rows.
     """
 
     kind: str
-    grid: np.ndarray
     lamb: float
     alpha: np.ndarray
     beta0: float | np.ndarray
     beta: np.ndarray
     fitted: np.ndarray
     sigma_e2: float | np.ndarray
-    beta_basis: BSplineBasis = field(repr=False)
-    phi_beta: np.ndarray = field(repr=False)
-    penalty: np.ndarray = field(repr=False)
     normal_matrix: np.ndarray = field(repr=False)
-    x_train: np.ndarray = field(default=None, repr=False)
-    x_basis: BSplineBasis | None = field(default=None, repr=False)
-    xj: np.ndarray | None = field(default=None, repr=False)
 
 
-def _validate_xy(grid, x, y, functional: bool):
+def _beta_basis(grid, x, beta_nbasis, domain):
+    """Checked grid and curves, the domain, and the coefficient basis on the
+    grid with its curvature penalty."""
     grid = check_grid(grid)
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[1] != grid.size:
         raise ValueError(f"X must be (n, {grid.size}), got {x.shape}")
-    if functional:
-        if y.shape != x.shape:
-            raise ValueError(f"functional responses must match X's shape {x.shape}")
-    elif y.shape != (x.shape[0],):
-        raise ValueError(f"scalar responses must be a length-{x.shape[0]} vector")
-    return grid, x, y
-
-
-def _blocks_scalar(grid, x, x_nbasis, beta_nbasis, domain):
-    """Per-curve design rows [1, c_i^T J] for the integral model."""
     if domain is None:
         domain = (float(grid[0]), float(grid[-1]))
-    x_basis = uniform_basis(domain, x_nbasis)
-    beta_basis = uniform_basis(domain, beta_nbasis)
-    phi_x = eval_basis(x_basis, grid)
-    phi_beta = eval_basis(beta_basis, grid)
+    basis = uniform_basis(domain, beta_nbasis)
+    return grid, x, domain, eval_basis(basis, grid), curvature_penalty(basis)
+
+
+def scalar_design(
+    grid,
+    x,
+    x_nbasis: int = DEFAULT_X_NBASIS,
+    beta_nbasis: int = DEFAULT_BETA_NBASIS,
+    domain=None,
+) -> RegressionDesign:
+    """Rows [1, c_i^T J] of y_i = beta0 + integral X_i(t) beta(t) dt.
+
+    Curves are projected on an ``x_nbasis`` spline basis, the integral is
+    a trapezoid-rule Gram J against the ``beta_nbasis`` basis, and only the
+    coefficient function's curvature is penalized (never the intercept).
+    """
+    grid, x, domain, phi_beta, pen = _beta_basis(grid, x, beta_nbasis, domain)
+    phi_x = eval_basis(uniform_basis(domain, x_nbasis), grid)
     coeffs = np.linalg.lstsq(phi_x, x.T, rcond=None)[0].T
     xj = phi_x.T @ (trapezoid_weights(grid)[:, None] * phi_beta)
-    design = np.hstack([np.ones((x.shape[0], 1)), coeffs @ xj])
-    pen = np.zeros((beta_nbasis + 1, beta_nbasis + 1))
-    pen[1:, 1:] = curvature_penalty(beta_basis)
-    return design, pen, x_basis, beta_basis, phi_x, phi_beta, xj
+    rows = np.hstack([np.ones((x.shape[0], 1)), coeffs @ xj])
+    return RegressionDesign("scalar", grid, rows, block_diag(np.zeros((1, 1)), pen), phi_beta)
 
 
-def _blocks_concurrent(grid, x, beta_nbasis, domain):
-    """Per-point design rows [phi(t_j), x_ij phi(t_j)], stacked curve-major."""
-    if domain is None:
-        domain = (float(grid[0]), float(grid[-1]))
-    beta_basis = uniform_basis(domain, beta_nbasis)
-    phi_beta = eval_basis(beta_basis, grid)
-    n = x.shape[0]
-    blocks = [np.hstack([phi_beta, x[i][:, None] * phi_beta]) for i in range(n)]
-    p_one = curvature_penalty(beta_basis)
-    pen = np.zeros((2 * beta_nbasis, 2 * beta_nbasis))
-    pen[:beta_nbasis, :beta_nbasis] = p_one
-    pen[beta_nbasis:, beta_nbasis:] = p_one
-    return blocks, pen, beta_basis, phi_beta
+def concurrent_design(
+    grid,
+    x,
+    beta_nbasis: int = DEFAULT_BETA_NBASIS,
+    domain=None,
+) -> RegressionDesign:
+    """Rows [phi(t_j), x_ij phi(t_j)] of Y_i(t) = beta0(t) + X_i(t) beta1(t).
+
+    Both coefficient curves live in the same spline basis and both carry
+    the curvature penalty.
+    """
+    grid, x, _, phi_beta, pen = _beta_basis(grid, x, beta_nbasis, domain)
+    rows = np.concatenate(
+        [np.broadcast_to(phi_beta, (x.shape[0],) + phi_beta.shape), x[:, :, None] * phi_beta],
+        axis=2,
+    )
+    return RegressionDesign("concurrent", grid, rows, block_diag(pen, pen), phi_beta)
+
+
+def _check_responses(design: RegressionDesign, y, kind: str) -> np.ndarray:
+    if design.kind != kind:
+        raise ValueError(f"a {kind} fit needs a design of kind {kind!r}, got {design.kind!r}")
+    y = np.asarray(y, dtype=float)
+    if y.shape != design.rows.shape[:-1]:
+        if kind == "scalar":
+            raise ValueError(f"scalar responses must be a length-{design.rows.shape[0]} vector")
+        raise ValueError(f"functional responses must match X's shape {design.rows.shape[:-1]}")
+    return y
 
 
 def _solve_penalized(gram, rhs, pen, lamb):
@@ -131,147 +173,83 @@ def _solve_penalized(gram, rhs, pen, lamb):
     return np.linalg.solve(m, rhs), m
 
 
-def fit_scalar_on_function(
-    grid,
-    x,
-    y,
-    lamb: float = 0.1,
-    x_nbasis: int = DEFAULT_X_NBASIS,
-    beta_nbasis: int = DEFAULT_BETA_NBASIS,
-    domain=None,
-) -> RegressionFit:
-    """Fit y_i = beta0 + integral X_i(t) beta(t) dt + noise.
-
-    Curves are projected on an ``x_nbasis`` spline basis, the integral is
-    a trapezoid-rule Gram against the ``beta_nbasis`` basis, and only the
-    coefficient function's curvature is penalized (never the intercept).
-    """
-    grid, x, y = _validate_xy(grid, x, y, functional=False)
+def _fit(design: RegressionDesign, y, lamb: float, kind: str):
+    """Penalized least squares over every row of the design."""
+    y = _check_responses(design, y, kind)
     if not lamb >= 0.0:
         raise ValueError(f"lamb must be nonnegative, got {lamb}")
-    design, pen, x_basis, beta_basis, _, phi_beta, xj = _blocks_scalar(
-        grid, x, x_nbasis, beta_nbasis, domain
-    )
-    alpha, m = _solve_penalized(design.T @ design, design.T @ y, pen, float(lamb))
-    fitted = design @ alpha
-    resid = y - fitted
+    d = design.rows.reshape(-1, design.rows.shape[-1])
+    alpha, m = _solve_penalized(d.T @ d, d.T @ y.ravel(), design.penalty, float(lamb))
+    fitted = (d @ alpha).reshape(y.shape)
+    return alpha, m, fitted, y - fitted
+
+
+def fit_scalar_on_function(design: RegressionDesign, y, lamb: float = 0.1) -> RegressionFit:
+    """Fit y_i = beta0 + integral X_i(t) beta(t) dt + noise on a scalar design."""
+    alpha, m, fitted, resid = _fit(design, y, lamb, "scalar")
     return RegressionFit(
         kind="scalar",
-        grid=grid,
         lamb=float(lamb),
         alpha=alpha,
         beta0=float(alpha[0]),
-        beta=phi_beta @ alpha[1:],
+        beta=design.phi_beta @ alpha[1:],
         fitted=fitted,
         sigma_e2=float(np.mean(resid**2)),
-        beta_basis=beta_basis,
-        phi_beta=phi_beta,
-        penalty=pen,
         normal_matrix=m,
-        x_train=x,
-        x_basis=x_basis,
-        xj=xj,
     )
 
 
-def fit_concurrent(
-    grid,
-    x,
-    y,
-    lamb: float = 0.1,
-    beta_nbasis: int = DEFAULT_BETA_NBASIS,
-    domain=None,
-) -> RegressionFit:
-    """Fit Y_i(t) = beta0(t) + X_i(t) beta1(t) + noise, pointwise in t.
-
-    Both coefficient curves live in the same spline basis and both carry
-    the curvature penalty.
-    """
-    grid, x, y = _validate_xy(grid, x, y, functional=True)
-    if not lamb >= 0.0:
-        raise ValueError(f"lamb must be nonnegative, got {lamb}")
-    blocks, pen, beta_basis, phi_beta = _blocks_concurrent(grid, x, beta_nbasis, domain)
-    design = np.vstack(blocks)
-    yvec = y.ravel()
-    alpha, m = _solve_penalized(design.T @ design, design.T @ yvec, pen, float(lamb))
-    fitted = (design @ alpha).reshape(y.shape)
-    resid = y - fitted
-    kb = beta_nbasis
+def fit_concurrent(design: RegressionDesign, y, lamb: float = 0.1) -> RegressionFit:
+    """Fit Y_i(t) = beta0(t) + X_i(t) beta1(t) + noise on a concurrent design."""
+    alpha, m, fitted, resid = _fit(design, y, lamb, "concurrent")
+    kb = design.phi_beta.shape[1]
     return RegressionFit(
         kind="concurrent",
-        grid=grid,
         lamb=float(lamb),
         alpha=alpha,
-        beta0=phi_beta @ alpha[:kb],
-        beta=phi_beta @ alpha[kb:],
+        beta0=design.phi_beta @ alpha[:kb],
+        beta=design.phi_beta @ alpha[kb:],
         fitted=fitted,
         sigma_e2=np.mean(resid**2, axis=0),
-        beta_basis=beta_basis,
-        phi_beta=phi_beta,
-        penalty=pen,
         normal_matrix=m,
-        x_train=x,
     )
 
 
-def predict(fit: RegressionFit, x_new) -> np.ndarray:
-    """Predict responses for new covariate curves on the training grid."""
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim != 2 or x_new.shape[1] != fit.grid.size:
-        raise ValueError(f"new curves must be (n, {fit.grid.size}), got {x_new.shape}")
-    if fit.kind == "scalar":
-        phi_x = eval_basis(fit.x_basis, fit.grid)
-        coeffs = np.linalg.lstsq(phi_x, x_new.T, rcond=None)[0].T
-        return fit.beta0 + coeffs @ fit.xj @ fit.alpha[1:]
-    return fit.beta0[None, :] + x_new * fit.beta[None, :]
+def predict(fit: RegressionFit, design: RegressionDesign) -> np.ndarray:
+    """Predicted responses of the design's curves."""
+    return design.rows @ fit.alpha
 
 
-def cross_validate(
-    grid,
-    x,
-    y,
-    kind: str = "scalar",
-    lambdas=None,
-    x_nbasis: int = DEFAULT_X_NBASIS,
-    beta_nbasis: int = DEFAULT_BETA_NBASIS,
-    domain=None,
-) -> tuple[float, np.ndarray]:
+def cross_validate(design: RegressionDesign, y, lambdas=None) -> tuple[float, np.ndarray]:
     """Leave-one-curve-out CV over the penalty grid; ties take the smaller.
 
     Returns the chosen weight and the per-candidate prediction SSE.
     """
-    if kind not in ("scalar", "concurrent"):
-        raise ValueError(f"kind must be 'scalar' or 'concurrent', got {kind!r}")
-    functional = kind == "concurrent"
-    grid, x, y = _validate_xy(grid, x, y, functional)
-    n = x.shape[0]
+    y = _check_responses(design, y, design.kind)
+    n = y.shape[0]
     if n < 3:
         raise ValueError(f"leave-one-out needs at least 3 curves, got {n}")
     if lambdas is None:
         lambdas = default_lambda_grid()
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
 
-    if functional:
-        blocks, pen, _, _ = _blocks_concurrent(grid, x, beta_nbasis, domain)
-        ys = [y[i] for i in range(n)]
-    else:
-        design, pen, *_ = _blocks_scalar(grid, x, x_nbasis, beta_nbasis, domain)
-        blocks = [design[i : i + 1] for i in range(n)]
-        ys = [y[i : i + 1] for i in range(n)]
-
-    grams = [b.T @ b for b in blocks]
-    rhss = [b.T @ yi for b, yi in zip(blocks, ys)]
-    gram = np.sum(grams, axis=0)
-    rhs = np.sum(rhss, axis=0)
+    # Each curve's rows as a block: one row for the scalar model, p rows
+    # for the concurrent one.
+    blocks = design.rows.reshape(n, -1, design.rows.shape[-1])
+    ys = y.reshape(n, -1)
+    grams = np.einsum("nij,nik->njk", blocks, blocks)
+    rhss = np.einsum("nij,ni->nj", blocks, ys)
+    gram = grams.sum(axis=0)
+    rhs = rhss.sum(axis=0)
 
     scores = np.empty(lambdas.size)
     for k, lamb in enumerate(lambdas):
         sse = 0.0
         try:
             for i in range(n):
-                alpha, _ = _solve_penalized(gram - grams[i], rhs - rhss[i], pen, float(lamb))
+                alpha, _ = _solve_penalized(gram - grams[i], rhs - rhss[i], design.penalty, float(lamb))
                 err = ys[i] - blocks[i] @ alpha
-                sse += float(err @ err) if err.ndim == 1 else float(np.sum(err * err))
+                sse += float(err @ err)
         except ValueError:
             sse = np.inf
         scores[k] = sse
@@ -279,45 +257,33 @@ def cross_validate(
     return float(lambdas[best]), scores
 
 
-def stderr_bands(fit: RegressionFit) -> dict:
-    """Model-based 95% bands for the coefficient function(s).
+def _band(center, phi, cov):
+    se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", phi, cov, phi), 0.0, None))
+    return center - 1.96 * se, center + 1.96 * se
+
+
+def stderr_bands(fit: RegressionFit, design: RegressionDesign) -> dict:
+    """Model-based 95% bands for the coefficient function(s) of a fit on
+    ``design``.
 
     The coefficient covariance is the sandwich M^-1 (D^T W D) M^-1 from the
-    penalized normal equations; W carries the scalar residual variance, or
-    the pointwise residual variances for concurrent fits.
+    penalized normal equations, with D every row of the design; W carries
+    the scalar residual variance, or for concurrent fits the residual
+    variance at each row's grid point.
     """
+    d = design.rows.reshape(-1, design.rows.shape[-1])
+    w = np.broadcast_to(fit.sigma_e2, design.rows.shape[:-1]).reshape(-1)
     m_inv = np.linalg.inv(fit.normal_matrix)
-    if fit.kind == "scalar":
-        gram = (fit.normal_matrix - fit.lamb * fit.penalty) * fit.sigma_e2
-    else:
-        # D^T diag(w) D with w the residual variance at each row's grid
-        # point.  Rows of every curve at point j share w[j] and the basis
-        # row phi_j, so the sum collapses to weighted Gram blocks driven by
-        # the covariate's pointwise moments.
-        phi = fit.phi_beta
-        w = np.asarray(fit.sigma_e2, dtype=float)
-        n = fit.x_train.shape[0]
-        s1 = fit.x_train.sum(axis=0)
-        s2 = (fit.x_train**2).sum(axis=0)
-        block00 = phi.T @ ((w * n)[:, None] * phi)
-        block01 = phi.T @ ((w * s1)[:, None] * phi)
-        block11 = phi.T @ ((w * s2)[:, None] * phi)
-        gram = np.block([[block00, block01], [block01.T, block11]])
-    cov = m_inv @ gram @ m_inv
-
-    out = {}
+    cov = m_inv @ (d.T @ (w[:, None] * d)) @ m_inv
+    phi = design.phi_beta
     if fit.kind == "scalar":
         se0 = float(np.sqrt(max(cov[0, 0], 0.0)))
-        theta_cov = cov[1:, 1:]
-        se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", fit.phi_beta, theta_cov, fit.phi_beta), 0.0, None))
-        out["beta0"] = (fit.beta0 - 1.96 * se0, fit.beta0 + 1.96 * se0)
-        out["beta"] = (fit.beta - 1.96 * se, fit.beta + 1.96 * se)
-        return out
-    kb = fit.phi_beta.shape[1]
-    cov0 = cov[:kb, :kb]
-    cov1 = cov[kb:, kb:]
-    se0 = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", fit.phi_beta, cov0, fit.phi_beta), 0.0, None))
-    se1 = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", fit.phi_beta, cov1, fit.phi_beta), 0.0, None))
-    out["beta0"] = (fit.beta0 - 1.96 * se0, fit.beta0 + 1.96 * se0)
-    out["beta"] = (fit.beta - 1.96 * se1, fit.beta + 1.96 * se1)
-    return out
+        return {
+            "beta0": (fit.beta0 - 1.96 * se0, fit.beta0 + 1.96 * se0),
+            "beta": _band(fit.beta, phi, cov[1:, 1:]),
+        }
+    kb = phi.shape[1]
+    return {
+        "beta0": _band(fit.beta0, phi, cov[:kb, :kb]),
+        "beta": _band(fit.beta, phi, cov[kb:, kb:]),
+    }

@@ -19,7 +19,7 @@ def check_grid(grid, name: str = "grid") -> np.ndarray:
         if diffs[i] == 0.0:
             raise ValueError(
                 f"{name} has duplicate points at indices {i} and {i + 1} "
-                f"(value {grid[i]!r})"
+                f"(value {float(grid[i])!r})"
             )
         raise ValueError(f"{name} must be strictly increasing (violated at index {i})")
     return grid

@@ -16,7 +16,14 @@ import numpy as np
 
 from gpcurve.css import css_eval, css_fit, near_interp_weight
 from gpcurve.datagen import FunctionalDataset
-from gpcurve.fregress import fit_concurrent, fit_scalar_on_function, predict, trapezoid_weights
+from gpcurve.fregress import (
+    concurrent_design,
+    fit_concurrent,
+    fit_scalar_on_function,
+    predict,
+    scalar_design,
+    trapezoid_weights,
+)
 from gpcurve.stochastic import RngStream
 
 __all__ = ["ProtocolReport", "run_regression_protocol"]
@@ -123,33 +130,32 @@ def run_regression_protocol(
     scalar_true = x_true @ (weights * beta_true)
     func_true = x_true * beta_true[None, :]
 
+    # A curve's design rows do not depend on the other curves, so each input
+    # and model gets one design and every replicate selects its rows.
+    models = {
+        inp: (
+            ("scalar", fit_scalar_on_function, scalar_design(grid, x, domain=domain), scalar_true),
+            ("functional", fit_concurrent, concurrent_design(grid, x, domain=domain), func_true),
+        )
+        for inp, x in (("sampler", x_smooth), ("css", x_css))
+    }
+
     root = RngStream(seed)
     acc = {key: [] for key in _all_keys()}
     for rep in range(replicates):
         gen = root.substream(rep).generator
         train = np.sort(gen.choice(n, size=n_train, replace=False))
         test = np.setdiff1d(np.arange(n), train)
-        scalar_y = scalar_true + gen.standard_normal(n)
-        func_y = func_true + gen.standard_normal(func_true.shape)
-
-        for inp, x in (("sampler", x_smooth), ("css", x_css)):
-            fit = fit_scalar_on_function(grid, x[train], scalar_y[train], lamb=lamb, domain=domain)
-            acc[("scalar", inp, "fitted")].append(
-                float(np.mean((fit.fitted - scalar_true[train]) ** 2))
-            )
-            pred = predict(fit, x[test])
-            acc[("scalar", inp, "predicted")].append(
-                float(np.mean((pred - scalar_true[test]) ** 2))
-            )
-
-            ffit = fit_concurrent(grid, x[train], func_y[train], lamb=lamb, domain=domain)
-            acc[("functional", inp, "fitted")].append(
-                float(np.mean((ffit.fitted - func_true[train]) ** 2))
-            )
-            fpred = predict(ffit, x[test])
-            acc[("functional", inp, "predicted")].append(
-                float(np.mean((fpred - func_true[test]) ** 2))
-            )
+        ys = {
+            "scalar": scalar_true + gen.standard_normal(n),
+            "functional": func_true + gen.standard_normal(func_true.shape),
+        }
+        for inp in INPUTS:
+            for model, fit_model, design, truth in models[inp]:
+                fit = fit_model(design.take(train), ys[model][train], lamb=lamb)
+                pred = predict(fit, design.take(test))
+                acc[(model, inp, "fitted")].append(float(np.mean((fit.fitted - truth[train]) ** 2)))
+                acc[(model, inp, "predicted")].append(float(np.mean((pred - truth[test]) ** 2)))
 
     cells = {
         key: ProtocolCell(mean=float(np.mean(vals)), std=float(np.std(vals, ddof=1)))

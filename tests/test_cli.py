@@ -267,6 +267,35 @@ def test_babf_smooth_passes_lambda_flags_to_the_estimates(tmp_path, dataset, mon
     assert eval_grid.size == 6
 
 
+@pytest.mark.parametrize(
+    "extra, names",
+    [
+        (("--eval-grid", "5,6"), ("--eval-grid spans [5.0, 6.0]", "the domain of", "1.5707963267948966]")),
+        (("--eval-grid", "0.1,0.9", "--trange", "0.2", "1.0"), ("--eval-grid", "--trange [0.2, 1.0]")),
+        (("--eval-grid", "1,1"), ("--eval-grid has duplicate points at indices 0 and 1 (value 1.0)",)),
+    ],
+)
+def test_babf_eval_grid_outside_the_domain_exits_2_before_the_estimates(
+    tmp_path, dataset, monkeypatch, capsys, extra, names
+):
+    # eval_basis would clamp such points to the domain's ends, so the
+    # results would be labelled with points they were not evaluated at.
+    def never(*args, **kwargs):
+        raise AssertionError("empirical estimates built for an invalid evaluation grid")
+
+    monkeypatch.setattr(cli, "empirical_estimates", never)
+    out = tmp_path / "fit.json"
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(out), "--smethod", "babf",
+        "--m", "6", "--M", "30", "--Burnin", "10", *extra,
+    )
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    for name in names:
+        assert name in err, err
+    assert not out.exists()
+
+
 def test_retained_draws_beyond_physical_memory_exit_2_before_allocating(tmp_path, dataset, capsys):
     # 10**12 retained sweeps of 8 curves on 12 points would need about
     # 1.8 PiB: the guard must refuse before any draws array is requested.

@@ -8,7 +8,16 @@ from gpcurve.css import (
     default_lambda_grid,
     near_interp_weight,
 )
-from gpcurve.css import _smoother_trace, _spline_system
+from gpcurve.css import _penalized_solve, _smoother_trace, _spline_system
+
+
+def smoother_trace(grid, lamb):
+    # The trace reuses the banded factor of the fit's penalized solve.
+    q, r = _spline_system(grid)
+    qtq = (q.T @ q).tocsc()
+    alpha = (1.0 - lamb) / lamb
+    _, factor = _penalized_solve(np.zeros(grid.size), alpha, q, r, qtq)
+    return _smoother_trace(grid.size, alpha, factor, qtq)
 
 
 def dense_smoother(grid, lamb):
@@ -38,19 +47,17 @@ def test_banded_fit_matches_dense_normal_equations():
 
 def test_smoother_matrix_properties_and_trace():
     grid, _, y = noisy_curve(n=60, seed=2)
-    q, r = _spline_system(grid)
     for lamb in (0.5, 0.95):
         smoother = dense_smoother(grid, lamb)
         np.testing.assert_allclose(smoother, smoother.T, atol=1e-10)
         eig = np.linalg.eigvalsh((smoother + smoother.T) / 2.0)
         assert eig.min() > -1e-7 and eig.max() < 1.0 + 1e-7
-        assert abs(_smoother_trace(grid, lamb, q, r) - np.trace(smoother)) < 1e-6
+        assert abs(smoother_trace(grid, lamb) - np.trace(smoother)) < 1e-6
 
 
 def test_trace_decreases_with_more_smoothing():
     grid, _, _ = noisy_curve(n=40, seed=3)
-    q, r = _spline_system(grid)
-    traces = [_smoother_trace(grid, lamb, q, r) for lamb in (0.99, 0.9, 0.5, 0.1)]
+    traces = [smoother_trace(grid, lamb) for lamb in (0.99, 0.9, 0.5, 0.1)]
     assert all(a > b for a, b in zip(traces, traces[1:]))
     # Lines are never penalized: the trace stays above 2.
     assert traces[-1] > 2.0

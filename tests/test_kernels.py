@@ -135,8 +135,11 @@ def test_fit_matern_shape_mismatch():
 def test_check_grid_errors():
     with pytest.raises(ValueError, match="increasing"):
         check_grid(np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValueError, match="0.5"):
+    with pytest.raises(ValueError, match="0.5") as err:
         check_grid(np.array([0.0, 0.5, 0.5, 1.0]))
+    # The value prints as a plain float, not as a numpy scalar's repr.
+    assert "np.float64" not in str(err.value)
+    assert "(value 0.5)" in str(err.value)
     with pytest.raises(ValueError):
         check_grid(np.array([[0.0, 1.0]]))
 

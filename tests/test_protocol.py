@@ -77,3 +77,19 @@ def test_protocol_validation(rgrid_data):
     broken = data.__class__(curves=[stripped] + list(data.curves[1:]), pooled_grid=data.pooled_grid)
     with pytest.raises(ValueError, match="truth"):
         run_regression_protocol(broken, smoothed, n_train=10)
+
+
+def test_protocol_builds_one_design_per_input_and_model(rgrid_data, monkeypatch):
+    # Every design builds one curvature penalty; replicates only select rows.
+    from gpcurve import fregress
+
+    calls = []
+    penalty = fregress.curvature_penalty
+
+    def counted(basis):
+        calls.append(basis)
+        return penalty(basis)
+
+    monkeypatch.setattr(fregress, "curvature_penalty", counted)
+    run_regression_protocol(rgrid_data, _noisy_smooths(rgrid_data), n_train=20, replicates=5, grid_len=25)
+    assert len(calls) == 4
