@@ -13,7 +13,6 @@ from gpcurve.stochastic import (
     pseudo_inverse,
     sample_gamma,
     sample_inverse_wishart,
-    sample_mvn,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "pseudo_inverse",
     "sample_gamma",
     "sample_inverse_wishart",
-    "sample_mvn",
 ]
 
 __version__ = "0.1.0"

@@ -85,8 +85,9 @@ class BabfContext(Design):
         return self.x_pad - np.matmul(self.b_pad, coef[:, :, None])[:, :, 0]
 
     def summary_fields(self, draws: Draws) -> dict:
-        """Observed-grid, coefficient-space and working-grid summaries, and
-        the basis artifacts needed to reuse the fit."""
+        """Observed-grid and coefficient-space summaries, the working grid
+        and the knots.  Basis rows at any points follow from ``knots``
+        (:func:`~gpcurve.bsplines.eval_basis`), so none are kept."""
         coef = summarize_draws(draws)
         zt_bands = [credible_band(draws.coef[:, i : i + 1], right=b) for i, b in enumerate(self.bt)]
         return dict(
@@ -103,10 +104,6 @@ class BabfContext(Design):
             Sigma_zeta_SE=coef["Sigma_SE"],
             mu_zeta=coef["mu"],
             mu_zeta_CI=coef["mu_CI"],
-            Sigma_tau=self.btau @ coef["Sigma"] @ self.btau.T,
-            mu_tau=self.btau @ coef["mu"],
-            Btau=self.btau,
-            BT=self.bt,
             knots=self.basis.knots,
         )
 
@@ -219,9 +216,10 @@ def babf_run(
 
     The working grid defaults to L percentile sites of the pooled grid
     (:func:`babf_working_grid`); ``eval_grid`` defaults to the pooled grid.
-    When ``est`` is omitted or not on the working grid, empirical estimates
-    are built there; when ``hyper`` is omitted, prior settings are built
-    from them (``hyper_kwargs`` forwards to the prior constructor).
+    When ``est`` is omitted, empirical estimates are built on the working
+    grid; a given ``est`` must be on it (``ValueError`` otherwise).  When
+    ``hyper`` is omitted, prior settings are built from the estimates
+    (``hyper_kwargs`` forwards to the prior constructor).
     ``runtime_seconds`` covers the sampler alone, as in ``bhm_run``:
     context, initial state, sweeps and summaries, not the empirical
     estimates or the prior settings.  With ``summarize=False`` the posterior
@@ -233,7 +231,7 @@ def babf_run(
 
     pooled = data.pooled_grid
     working = babf_working_grid(pooled, L, tau)
-    if est is None or est.grid.shape != working.tau.shape or not np.array_equal(est.grid, working.tau):
+    if est is None:
         est = empirical_estimates(data, eval_grid=working.tau)
     if hyper is None:
         hyper = build_hyperparams(est, **(hyper_kwargs or {}))

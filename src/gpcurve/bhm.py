@@ -412,7 +412,7 @@ def _summarize(draws: Draws, ctx: Design, started: float) -> SmoothResult:
     rn, rn_ci = scalar_summary(draws.precision)
     rs, rs_ci = scalar_summary(draws.sigma_s2)
     params = ctx.hyper.A.params
-    pmin = pdm_pvalues(draws.resid).pmin_vec if draws.resid[0].shape[0] else None
+    pmin = pdm_pvalues(draws.resid) if draws.resid[0].shape[0] else None
     return SmoothResult(
         method=ctx.method,
         grid=ctx.grid,

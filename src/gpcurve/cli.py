@@ -51,7 +51,7 @@ from gpcurve.stochastic import FactorizationError, RngStream
 # Names whose modules pull in scipy.interpolate, scipy.optimize and
 # scipy.sparse, mapped to those modules.  They are imported on first attribute
 # access (PEP 562), so `simulate` and `diagnose` start without them.
-# Commands call them as attributes of this module (`_cli.<name>`), which
+# Commands look every callee up by name at the call (`_cli.<name>`), which
 # keeps them patchable by name like the eagerly imported callees.
 _DEFERRED = {
     "babf_run": "gpcurve.babf",
@@ -63,8 +63,6 @@ _DEFERRED = {
     "DEFAULT_X_NBASIS": "gpcurve.fregress",
 }
 
-_cli = sys.modules[__name__]
-
 
 def __getattr__(name: str):
     home = _DEFERRED.get(name)
@@ -73,6 +71,20 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(home), name)
     globals()[name] = value
     return value
+
+
+class _Callees:
+    """This module's attributes, read from the running module's own
+    namespace, then through its ``__getattr__``.  ``sys.modules[__name__]``
+    is not that module when a runner such as ``python -m cProfile -m
+    gpcurve.cli`` executes it as ``__main__`` without registering it."""
+
+    def __getattr__(self, name: str):
+        namespace = globals()
+        return namespace[name] if name in namespace else __getattr__(name)
+
+
+_cli = _Callees()
 
 
 EXIT_OK = 0
@@ -150,6 +162,20 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _eval_grid_flags(args, cfg: RunConfig) -> np.ndarray | None:
+    """Refuse evaluation-grid flags that cannot apply, before any input is
+    read; the ``--eval-grid`` points when given, else ``None``."""
+    flags = {"--eval-grid": args.eval_grid, "--eval-grid-len": args.eval_grid_len}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given and cfg.smethod == "bhm":
+        raise ValueError(f"{given[0]} applies to babf only: bhm reports on the pooled grid")
+    if len(given) > 1:
+        raise ValueError("--eval-grid and --eval-grid-len both set the evaluation grid; pass one")
+    if args.eval_grid_len is not None and args.eval_grid_len < 1:
+        raise ValueError(f"--eval-grid-len {args.eval_grid_len}: need at least 1 point")
+    return None if cfg.eval_grid is None else check_grid(cfg.eval_grid, "--eval-grid")
+
+
 def cmd_smooth(args) -> int:
     _require_out_dir("--out", args.out)
     if args.no_draws and args.chains > 1:
@@ -158,8 +184,9 @@ def cmd_smooth(args) -> int:
             f"--chains {args.chains} with --no-draws would discard every chain after "
             "the first; drop --no-draws or pass --chains 1"
         )
-    data, meta = load_dataset(args.data)
     cfg = _config_from_args(args)
+    eval_grid = _eval_grid_flags(args, cfg)
+    data, meta = load_dataset(args.data)
     cfg.cgrid = int(data.common_grid())
     cfg.validate()
     domain = tuple(cfg.trange) if cfg.trange else tuple(meta["domain"])
@@ -173,11 +200,9 @@ def cmd_smooth(args) -> int:
     else:
         tau = None if cfg.tau is None else np.asarray(cfg.tau, dtype=float)
         est_grid = _cli.babf_working_grid(data.pooled_grid, cfg.m, tau).tau
-        eval_grid = None
-        if cfg.eval_grid is not None:
+        if eval_grid is not None:
             # Points outside the domain would be clamped to its ends and
             # labelled with values they were not evaluated at.
-            eval_grid = check_grid(cfg.eval_grid, "--eval-grid")
             if eval_grid[0] < domain[0] or eval_grid[-1] > domain[1]:
                 source = "--trange" if cfg.trange else f"the domain of {args.data}"
                 raise ValueError(

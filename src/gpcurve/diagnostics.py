@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
 
 __all__ = [
-    "FitDiagnostics",
     "accuracy",
     "coverage",
     "interpret_pmin",
@@ -52,14 +50,6 @@ def psrf(chains) -> float:
     return float(np.sqrt(pooled / within))
 
 
-@dataclass
-class FitDiagnostics:
-    """Goodness-of-fit p-values per curve, with text labels."""
-
-    pmin_vec: np.ndarray
-    labels: list[str]
-
-
 def interpret_pmin(p: float) -> str:
     if p > PMIN_NONE:
         return "no evidence of model inadequacy"
@@ -68,14 +58,14 @@ def interpret_pmin(p: float) -> str:
     return "some evidence of model inadequacy"
 
 
-def pdm_pvalues(resid) -> FitDiagnostics:
+def pdm_pvalues(resid) -> np.ndarray:
     """Posterior-discrepancy p-values from standardized residual draws.
 
     ``resid`` holds one array per curve, shaped (draws, points on that
     curve).  For each retained draw the squared-residual sum is referred to
     its chi-square reference; the per-curve p-value is the smallest one
     across draws, Bonferroni-adjusted by the number of draws and capped
-    at 1.
+    at 1.  Returns the per-curve p-values, one per curve in order.
     """
     if not resid:
         raise ValueError("no residual draws; was the sampler run with residuals enabled?")
@@ -92,8 +82,7 @@ def pdm_pvalues(resid) -> FitDiagnostics:
         # the import cost of scipy.stats.
         pvals = chdtrc(npts, discrepancy)
         pmins[i] = min(1.0, ndraws * float(np.min(pvals)))
-    labels = [interpret_pmin(p) for p in pmins]
-    return FitDiagnostics(pmin_vec=pmins, labels=labels)
+    return pmins
 
 
 def accuracy(est, truth) -> dict:

@@ -6,8 +6,11 @@ sidecar directory next to the results file.  All writes are atomic
 
 A results file names its estimates by method (``ESTIMATE_KEYS``) and
 records the fingerprint of the dataset it was fitted to
-(``dataset_sha256``, format 1.1).  ``curve_fits`` is the one reader of
-the curve fits, and refuses a results file fitted to another dataset.
+(``dataset_sha256``, format 1.1).  From format 1.2 babf results keep no
+basis rows: they follow from ``knots``, ``tau`` and that dataset.  Readers
+compare the major version only, so files of format 1.0 and 1.1 still load.
+``curve_fits`` is the one reader of the curve fits, and refuses a results
+file fitted to another dataset.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ __all__ = [
 DATASET_FORMAT = "gpcurve-dataset"
 RESULTS_FORMAT = "gpcurve-results"
 FORMAT_VERSION = "1.0"
-RESULTS_VERSION = "1.1"
+RESULTS_VERSION = "1.2"
 
 MATRIX_MAGIC = b"GPCVMAT1"  # 8 bytes; header is magic + uint32 rows + uint32 cols
 
@@ -296,7 +299,7 @@ ESTIMATE_KEYS = {
         "Sigma_SE", ("mu", "mu_cgrid"), ("mu_CI", "mu_cgrid_CI"),
         "Zeta", "Zeta_CL", "Zeta_UL",
         "Sigma_zeta", "Sigma_zeta_CL", "Sigma_zeta_UL", "Sigma_zeta_SE", "mu_zeta", "mu_zeta_CI",
-        "Sigma_tau", "mu_tau", "Btau", "BT", "knots", "tau",
+        "knots", "tau",
         *_SCALARS,
     ),
 }

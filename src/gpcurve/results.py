@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -339,8 +339,9 @@ class SmoothResult:
 
     Curve-level summaries live on ``grid``: the pooled grid for the
     full-grid sampler, the evaluation grid for the basis-approximated one.
-    The basis-approximated sampler additionally fills the coefficient-space
-    and working-grid fields.
+    The basis-approximated sampler additionally fills the observed-grid and
+    coefficient-space fields, the working grid ``tau`` and the ``knots``
+    from which basis rows at any points can be rebuilt.
     """
 
     method: str
@@ -364,7 +365,7 @@ class SmoothResult:
     runtime_seconds: float = 0.0
 
     # Basis-approximated sampler only: observed-grid and coefficient-space
-    # summaries plus the basis artifacts needed to reuse the fit.
+    # summaries, the working grid and the knots.
     tau: np.ndarray | None = None
     Zt: list[np.ndarray] | None = None
     Zt_CL: list[np.ndarray] | None = None
@@ -378,8 +379,4 @@ class SmoothResult:
     Sigma_zeta_SE: np.ndarray | None = None
     mu_zeta: np.ndarray | None = None
     mu_zeta_CI: np.ndarray | None = None
-    Sigma_tau: np.ndarray | None = None
-    mu_tau: np.ndarray | None = None
-    Btau: np.ndarray | None = None
-    BT: list[np.ndarray] | None = field(default=None, repr=False)
     knots: np.ndarray | None = None

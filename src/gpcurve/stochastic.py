@@ -27,7 +27,6 @@ __all__ = [
     "pseudo_inverse",
     "sample_gamma",
     "sample_inverse_wishart",
-    "sample_mvn",
     "sample_mvn_canonical",
 ]
 
@@ -217,10 +216,6 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``mat @ x = b`` through the cached factor."""
-        return cho_solve_lower(self.chol, b)
-
     def inverse(self) -> np.ndarray:
         """``mat^-1`` as ``G^T G`` with ``G = chol^-1`` (LAPACK ``trtri``),
         exactly symmetric.  Computed once; every call returns the same
@@ -235,33 +230,6 @@ class SpdMatrix:
             inv.setflags(write=False)
             self._inverse = inv
         return self._inverse
-
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
-
-
-def sample_mvn(mean: np.ndarray, cov, rng, size: int | None = None) -> np.ndarray:
-    """Draw from MVN(mean, cov) as ``mean + L @ z`` with L the lower factor.
-
-    ``cov`` may be an :class:`SpdMatrix` or a raw symmetric array (factored
-    on the fly).  With ``size`` given, returns ``(size, dim)`` draws.
-    """
-    gen = _generator(rng)
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1:
-        raise ValueError("mean must be a vector")
-    if not isinstance(cov, SpdMatrix):
-        cov = SpdMatrix.from_matrix(cov, name="covariance")
-    if cov.dim != mean.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: mean has {mean.shape[0]} entries, "
-            f"covariance is {cov.dim}x{cov.dim}"
-        )
-    if size is None:
-        z = gen.standard_normal(cov.dim)
-        return mean + cov.chol @ z
-    z = gen.standard_normal((size, cov.dim))
-    return mean + z @ cov.chol.T
 
 
 def cho_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -143,7 +143,7 @@ def score_replicate(scenario: Scenario, data, draws, result, want_pdm=False) -> 
     if want_pdm:
         score.pmin_correct = np.asarray(result.pmin_vec, dtype=float)
         inflated = [3.0 * r for r in draws.resid]
-        score.pmin_inflated = pdm_pvalues(inflated).pmin_vec
+        score.pmin_inflated = pdm_pvalues(inflated)
     return score
 
 

@@ -10,6 +10,7 @@ from gpcurve.babf import (
     babf_step_meancov,
     babf_step_noise,
     babf_step_scale,
+    babf_working_grid,
     build_babf_context,
 )
 from gpcurve.bhm import (
@@ -23,7 +24,7 @@ from gpcurve.bhm import (
     bhm_step_signals,
     build_context,
 )
-from gpcurve.bsplines import WorkingGrid, build_basis, select_working_grid
+from gpcurve.bsplines import BSplineBasis, WorkingGrid, build_basis, eval_basis, select_working_grid
 from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd, sim_gfd_rgrid
 from gpcurve.empirical import HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.kernels import CovarianceModel
@@ -274,11 +275,10 @@ def test_run_shapes_determinism_and_reconstruction():
     assert res_a.method == "babf"
     assert res_a.tau.size == 6
     assert res_a.knots.size == 6 + 4
-    assert len(res_a.BT) == 5
 
     # Every grid-space summary is the summary of the basis images of the
     # coefficient draws.
-    b_eval = eval_matrix(res_a, data).T
+    b_eval = basis_rows(res_a, data.pooled_grid)
     np.testing.assert_allclose(draws_a.basis, b_eval, atol=1e-14)
     z = draws_a.coef @ b_eval.T
     mu = draws_a.mu @ b_eval.T
@@ -294,8 +294,9 @@ def test_run_shapes_determinism_and_reconstruction():
     ):
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
-    for i, b in enumerate(res_a.BT):
-        zt = draws_a.coef[:, i] @ b.T
+    assert len(res_a.Zt) == 5
+    for i, curve in enumerate(data.curves):
+        zt = draws_a.coef[:, i] @ basis_rows(res_a, curve.grid).T
         np.testing.assert_allclose(res_a.Zt[i], zt.mean(axis=0), rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             res_a.Zt_CL[i], np.quantile(zt, 0.025, axis=0), rtol=0, atol=1e-12
@@ -303,10 +304,6 @@ def test_run_shapes_determinism_and_reconstruction():
         np.testing.assert_allclose(
             res_a.Zt_UL[i], np.quantile(zt, 0.975, axis=0), rtol=0, atol=1e-12
         )
-    np.testing.assert_allclose(
-        res_a.Sigma_tau, res_a.Btau @ res_a.Sigma_zeta @ res_a.Btau.T, atol=1e-10
-    )
-    np.testing.assert_allclose(res_a.mu_tau, res_a.Btau @ res_a.mu_zeta, atol=1e-10)
 
 
 def _draw_arrays(draws):
@@ -365,11 +362,10 @@ def test_default_pooled_eval_grid_keeps_only_the_basis_on_its_axis():
     assert draws.basis.shape == (E, 20)
 
 
-def eval_matrix(result, data):
-    from gpcurve.bsplines import BSplineBasis, eval_basis
-
-    basis = BSplineBasis(knots=result.knots, domain=(result.knots[0], result.knots[-1]))
-    return eval_basis(basis, data.pooled_grid).T
+def basis_rows(result, t):
+    """The fit's basis rows at the points ``t``, rebuilt from its knots."""
+    knots = result.knots
+    return eval_basis(BSplineBasis(knots=knots, domain=(knots[0], knots[-1])), t)
 
 
 def test_summaries_commute_with_the_basis_when_eval_is_tau():
@@ -385,8 +381,9 @@ def test_summaries_commute_with_the_basis_when_eval_is_tau():
         rng=RngStream(1),
         hyper_kwargs={"ws": 1.0},
     )
-    np.testing.assert_allclose(res.Z, res.Zeta @ res.Btau.T, atol=1e-10)
-    np.testing.assert_allclose(res.mu, res.Btau @ res.mu_zeta, atol=1e-10)
+    btau = basis_rows(res, res.tau)
+    np.testing.assert_allclose(res.Z, res.Zeta @ btau.T, atol=1e-10)
+    np.testing.assert_allclose(res.mu, btau @ res.mu_zeta, atol=1e-10)
 
 
 def test_run_without_summaries_keeps_the_same_draws():
@@ -399,6 +396,17 @@ def test_run_without_summaries_keeps_the_same_draws():
         a, b = getattr(draws_a, f.name), getattr(draws_b, f.name)
         for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
             np.testing.assert_array_equal(x, y)
+
+
+def test_run_refuses_estimates_off_the_working_grid():
+    # Estimates on the pooled grid are not rebuilt with other settings: the
+    # run refuses them, as bhm_run refuses estimates off its grid.
+    data = sim_gfd_rgrid(SimConfig(n=4, p=10, seed=8))
+    working = babf_working_grid(data.pooled_grid, 5)
+    hyper = build_hyperparams(empirical_estimates(data, eval_grid=working.tau), ws=1.0)
+    pooled = empirical_estimates(data)
+    with pytest.raises(ValueError, match="empirical estimates must be on the working grid"):
+        babf_run(data, hyper, est=pooled, L=5, domain=DOMAIN, M=20, burnin=10)
 
 
 def test_run_validations():

@@ -24,7 +24,6 @@ from gpcurve.stochastic import (
     SpdMatrix,
     sample_gamma,
     sample_inverse_wishart,
-    sample_mvn,
 )
 
 GRID = np.array([0.0, 0.4, 0.9, 1.5])

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gpcurve import cli, results
+from gpcurve import cli, io, results
+from gpcurve.bsplines import BSplineBasis, eval_basis
 
 
 def run(*argv) -> int:
@@ -296,6 +297,39 @@ def test_babf_eval_grid_outside_the_domain_exits_2_before_the_estimates(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--smethod", "bhm", "--eval-grid", "5,6"), "--eval-grid applies to babf only"),
+        (("--smethod", "bhm", "--eval-grid-len", "7"), "--eval-grid-len applies to babf only"),
+        (("--eval-grid-len", "0"), "--eval-grid-len 0: need at least 1 point"),
+        (("--eval-grid-len", "-3"), "--eval-grid-len -3: need at least 1 point"),
+        (
+            ("--eval-grid", "0.1,0.5", "--eval-grid-len", "4"),
+            "--eval-grid and --eval-grid-len both set the evaluation grid",
+        ),
+    ],
+    ids=["bhm-eval-grid", "bhm-eval-grid-len", "len-0", "len-negative", "both-flags"],
+)
+def test_evaluation_grid_flags_that_cannot_apply_exit_2_before_the_dataset_is_read(
+    tmp_path, dataset, monkeypatch, capsys, extra, message
+):
+    # bhm reports on the pooled grid only, and babf's grid comes from one
+    # flag with at least one point: none of these may run a sampler.
+    def never(*args, **kwargs):
+        raise AssertionError("dataset read for evaluation-grid flags that cannot apply")
+
+    monkeypatch.setattr(cli, "load_dataset", never)
+    out = tmp_path / "fit.json"
+    rc = run(
+        "smooth", "--data", str(dataset), "--out", str(out), "--M", "30", "--Burnin", "10",
+        *extra,
+    )
+    assert rc == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_retained_draws_beyond_physical_memory_exit_2_before_allocating(tmp_path, dataset, capsys):
     # 10**12 retained sweeps of 8 curves on 12 points would need about
     # 1.8 PiB: the guard must refuse before any draws array is requested.
@@ -458,7 +492,7 @@ def test_diagnose_and_regress_read_a_v10_results_file_as_before(
     tmp_path, dataset, bhm_results, capsys
 ):
     payload = json.loads(bhm_results.read_text())
-    assert payload["version"] == "1.1" and "dataset_sha256" in payload
+    assert payload["version"] == "1.2" and "dataset_sha256" in payload
     del payload["dataset_sha256"]
     payload["version"] = "1.0"
     payload["draws"] = None
@@ -472,3 +506,47 @@ def test_diagnose_and_regress_read_a_v10_results_file_as_before(
         assert run("regress", "--data", str(dataset), "--results", str(fit), *flags) == 0
         outputs.append(capsys.readouterr().out.split("fit p-values", 1)[1])
     assert outputs[0] == outputs[1]
+
+
+def test_a_v11_babf_results_file_with_its_basis_keys_reads_as_before(tmp_path, dataset, capsys):
+    # Format 1.1 babf results also kept each curve's basis rows BT, the
+    # collocation matrix Btau, Sigma_tau and mu_tau; all four follow from
+    # the knots, tau and the dataset, and no reader needs them.
+    new = tmp_path / "babf.json"
+    assert run(
+        "smooth", "--data", str(dataset), "--out", str(new), "--smethod", "babf",
+        "--M", "40", "--Burnin", "10", "--m", "6", "--eval-grid-len", "15", "--ws", "1.0",
+    ) == 0
+    payload = json.loads(new.read_text())
+    est = payload["estimates"]
+    assert payload["version"] == "1.2" and "knots" in est and "tau" in est
+    assert not {"BT", "Btau", "Sigma_tau", "mu_tau"} & set(est)
+
+    knots = np.asarray(est["knots"])
+    basis = BSplineBasis(knots=knots, domain=(knots[0], knots[-1]))
+    btau = eval_basis(basis, np.asarray(est["tau"]))
+    data, _ = io.load_dataset(dataset)
+    est["Sigma_tau"] = (btau @ np.asarray(est["Sigma_zeta"]) @ btau.T).tolist()
+    est["mu_tau"] = (btau @ np.asarray(est["mu_zeta"])).tolist()
+    est["Btau"] = btau.tolist()
+    est["BT"] = [eval_basis(basis, c.grid).tolist() for c in data.curves]
+    payload["version"] = "1.1"
+    old = tmp_path / "old.json"  # beside new, so its draws entry still resolves
+    old.write_text(json.dumps(payload))
+
+    loaded = [io.load_results(path) for path in (new, old)]
+    np.testing.assert_array_equal(io.estimate(loaded[1], "mu"), io.estimate(loaded[0], "mu"))
+    fits = [io.curve_fits(p, data, str(dataset)) for p in loaded]
+    for got, want in zip(fits[1], fits[0]):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    flags = ("--n-train", "5", "--replicates", "2", "--grid-len", "20")
+    outputs = []
+    for fit in (new, old):
+        capsys.readouterr()
+        assert run("diagnose", str(fit), "--data", str(dataset)) == 0
+        assert run("regress", "--data", str(dataset), "--results", str(fit), *flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "signal accuracy" in outputs[0] and "MSE vs true responses" in outputs[0]
+    assert outputs[1] == outputs[0]

@@ -275,7 +275,7 @@ def test_estimate_keys_are_the_v1_layout():
         "Zt", "Zt_CL", "Zt_UL", "Z_cgrid", "Z_cgrid_CL", "Z_cgrid_UL", "Sigma_cgrid",
         "Sigma_cgrid_CL", "Sigma_cgrid_UL", "Sigma_SE", "mu_cgrid", "mu_cgrid_CI", "Zeta",
         "Zeta_CL", "Zeta_UL", "Sigma_zeta", "Sigma_zeta_CL", "Sigma_zeta_UL", "Sigma_zeta_SE",
-        "mu_zeta", "mu_zeta_CI", "Sigma_tau", "mu_tau", "Btau", "BT", "knots", "tau", *scalars,
+        "mu_zeta", "mu_zeta_CI", "knots", "tau", *scalars,
     ]
     for pairs in ESTIMATE_KEYS.values():
         assert {field for field, _ in pairs} <= set(SmoothResult.__dataclass_fields__)
@@ -286,7 +286,7 @@ def test_results_record_the_dataset_and_curve_fits_refuse_another(tmp_path, smal
     path = tmp_path / "res.json"
     save_results(path, result, RunConfig(smethod="bhm", M=30, Burnin=10), small_data)
     payload = load_results(path)
-    assert payload["version"] == "1.1"
+    assert payload["version"] == "1.2"
     assert payload["dataset_sha256"] == dataset_sha256(small_data)
     assert list(payload["estimates"]) == [key for _, key in ESTIMATE_KEYS["bhm"]]
 

@@ -78,6 +78,22 @@ def test_simulate_and_diagnose_load_no_heavy_scipy_subpackage(workdir):
     assert diag["loaded"] == []
 
 
+def test_smooth_runs_under_cprofile(workdir):
+    # cProfile executes the module as __main__ without registering it in
+    # sys.modules, so the deferred callees must resolve through the running
+    # module's own namespace.
+    _run(["-m", "gpcurve.cli", "simulate", "--out", "prof_data.json", "--n", "6", "--p", "10"], workdir)
+    _run(
+        [
+            "-m", "cProfile", "-o", "prof.out", "-m", "gpcurve.cli", "smooth",
+            "--data", "prof_data.json", "--out", "prof_fit.json", "--smethod", "bhm",
+            "--M", "30", "--Burnin", "10",
+        ],
+        workdir,
+    )
+    assert (workdir / "prof_fit.json").exists()
+
+
 def _imported_modules(path: Path) -> set[str]:
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -12,11 +12,11 @@ from gpcurve.stochastic import (
     FactorizationError,
     RngStream,
     SpdMatrix,
+    cho_solve_lower,
     cholesky_with_jitter,
     pseudo_inverse,
     sample_gamma,
     sample_inverse_wishart,
-    sample_mvn,
     sample_mvn_canonical,
 )
 
@@ -43,30 +43,6 @@ def test_substream_independent_of_parent_state():
     assert np.array_equal(a, b)
     c = fresh.substream(3, 2).generator.standard_normal(50)
     assert not np.array_equal(a, c)
-
-
-def test_mvn_scales_exactly_with_covariance():
-    # chol(4 S) = 2 chol(S) bit-exactly, so with a replayed stream the
-    # centered draws double exactly.
-    cov = np.array([[2.0, 0.7, 0.1], [0.7, 1.5, 0.3], [0.1, 0.3, 1.0]])
-    zero = np.zeros(3)
-    d1 = sample_mvn(zero, cov, RngStream(5), size=20)
-    d2 = sample_mvn(zero, 4.0 * cov, RngStream(5), size=20)
-    assert np.array_equal(2.0 * d1, d2)
-
-
-def test_mvn_mean_and_covariance():
-    mean = np.array([1.0, -2.0])
-    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
-    draws = sample_mvn(mean, cov, RngStream(11), size=200_000)
-    assert draws.shape == (200_000, 2)
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.02)
-    np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
-
-
-def test_mvn_rejects_mismatched_mean():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        sample_mvn(np.zeros(3), np.eye(2), RngStream(0))
 
 
 def spd_stack(n, p, seed):
@@ -271,7 +247,7 @@ def test_singular_covariance_draws_stay_on_the_ridge_scale():
     # [[1,1],[1,1]] forces a ridge of at most 1e-4, so the two coordinates
     # can differ only by ~sqrt(2e-4) per draw.
     spd = SpdMatrix.from_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    draws = sample_mvn(np.zeros(2), spd, RngStream(8), size=2_000)
+    draws = RngStream(8).generator.standard_normal((2_000, 2)) @ spd.chol.T
     assert np.max(np.abs(draws[:, 0] - draws[:, 1])) < 0.1
     assert np.corrcoef(draws.T)[0, 1] > 0.999
 
@@ -280,9 +256,10 @@ def test_spd_matrix_solve_inverse_logdet():
     mat = np.array([[3.0, 0.5, 0.2], [0.5, 2.0, 0.1], [0.2, 0.1, 1.5]])
     spd = SpdMatrix.from_matrix(mat)
     b = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(spd.solve(b), np.linalg.solve(mat, b), atol=1e-12)
+    np.testing.assert_allclose(cho_solve_lower(spd.chol, b), np.linalg.solve(mat, b), atol=1e-12)
     np.testing.assert_allclose(spd.inverse(), np.linalg.inv(mat), atol=1e-12)
-    np.testing.assert_allclose(spd.logdet(), np.linalg.slogdet(mat)[1], atol=1e-12)
+    logdet = 2.0 * np.sum(np.log(np.diag(spd.chol)))
+    np.testing.assert_allclose(logdet, np.linalg.slogdet(mat)[1], atol=1e-12)
 
 
 def test_spd_matrix_rejects_bad_input():
