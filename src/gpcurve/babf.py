@@ -170,10 +170,14 @@ def build_babf_context(
     )
 
 
+def _require_on_working_grid(est: EmpiricalEstimates, tau: np.ndarray) -> None:
+    if est.grid.shape != tau.shape or not np.array_equal(est.grid, tau):
+        raise ValueError("empirical estimates must be on the working grid")
+
+
 def babf_init(ctx: BabfContext, est: EmpiricalEstimates) -> GibbsState:
     """Map the empirical estimates on the working grid into coefficient space."""
-    if est.grid.shape != ctx.tau.shape or not np.array_equal(est.grid, ctx.tau):
-        raise ValueError("empirical estimates must be on the working grid")
+    _require_on_working_grid(est, ctx.tau)
     sigma_zeta = ctx.btau_inv @ est.sigma_hat.mat @ ctx.btau_inv.T
     return GibbsState(
         coef=est.smoothed @ ctx.btau_inv.T,
@@ -233,6 +237,9 @@ def babf_run(
     working = babf_working_grid(pooled, L, tau)
     if est is None:
         est = empirical_estimates(data, eval_grid=working.tau)
+    else:
+        # Before any prior is built from them, so the refusal names them.
+        _require_on_working_grid(est, working.tau)
     if hyper is None:
         hyper = build_hyperparams(est, **(hyper_kwargs or {}))
 

@@ -5,6 +5,11 @@ grid values, so everything here revolves around a square collocation
 matrix B(tau) that must stay well conditioned: the working grid tau picks
 L spread-out sites, and the knots are placed by averaging neighbouring
 sites so interpolation at tau is safe.
+
+Basis rows come from the Cox-de Boor recurrence (de Boor 1972, "On
+calculating with B-splines", J. Approx. Theory 6:50), evaluated in the
+order scipy.interpolate uses, so the rows equal ``BSpline.design_matrix``
+and ``BSpline.derivative`` bit for bit without importing it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from gpcurve.gridutil import check_grid
 from gpcurve.stochastic import pseudo_inverse
@@ -86,9 +90,6 @@ class BSplineBasis:
     def size(self) -> int:
         return self.knots.size - ORDER
 
-    def _spline(self) -> BSpline:
-        return BSpline(self.knots, np.eye(self.size), ORDER - 1, extrapolate=False)
-
 
 def _averaged_knots(tau: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     """Knot vector from site averages (K = L basis functions).
@@ -133,6 +134,32 @@ def build_basis(working: WorkingGrid, domain: tuple[float, float] | None = None)
     return basis
 
 
+def _knot_interval(knots: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
+    """Per point, the index l with knots[l] <= x < knots[l + 1], closed at the
+    right end of the domain: scipy's ``_find_interval`` for points inside."""
+    last = knots.size - degree - 2
+    return np.clip(np.searchsorted(knots, x, side="right") - 1, degree, last)
+
+
+def _deboor_rows(knots: np.ndarray, degree: int, x: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """The degree + 1 B-splines of ``degree`` that can be nonzero at each
+    point, those of indices ell - degree .. ell, by the Cox-de Boor
+    recurrence in the operation order of scipy's ``_deBoor_D``."""
+    h = np.zeros((x.size, degree + 1))
+    h[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            right = knots[ell + m]
+            left = knots[ell + m - j]
+            empty = right == left
+            w = prev[:, m - 1] / np.where(empty, 1.0, right - left)
+            h[:, m - 1] = np.where(empty, h[:, m - 1], h[:, m - 1] + w * (right - x))
+            h[:, m] = np.where(empty, 0.0, w * (x - left))
+    return h
+
+
 def eval_basis(basis: BSplineBasis, at) -> np.ndarray:
     """Evaluate all basis functions at ``at``; rows sum to 1 inside the domain.
 
@@ -148,14 +175,44 @@ def eval_basis(basis: BSplineBasis, at) -> np.ndarray:
             stacklevel=2,
         )
         at = np.clip(at, lo, hi)
-    design = BSpline.design_matrix(np.atleast_1d(at), basis.knots, ORDER - 1)
-    return design.toarray()
+    at = np.atleast_1d(at)
+    if not np.isfinite(at).all():
+        raise ValueError("evaluation points must not contain infs or NaNs")
+    degree = ORDER - 1
+    ell = _knot_interval(basis.knots, degree, at)
+    out = np.zeros((at.size, basis.size))
+    # Added into zeros, as a sparse design matrix is densified.
+    out[np.arange(at.size)[:, None], ell[:, None] - degree + np.arange(ORDER)] += _deboor_rows(
+        basis.knots, degree, at, ell
+    )
+    return out
 
 
 def eval_basis_deriv2(basis: BSplineBasis, at) -> np.ndarray:
-    """Second derivative of every basis function at ``at``."""
-    at = np.clip(np.asarray(at, dtype=float), *basis.domain)
-    out = basis._spline().derivative(2)(np.atleast_1d(at))
+    """Second derivative of every basis function at ``at``.
+
+    The identity coefficients are differenced twice as scipy's ``splder``
+    does, leaving a degree-1 spline on the knots without their ends; its
+    rows are combined in the order of scipy's ``evaluate_spline``.
+    """
+    at = np.atleast_1d(np.clip(np.asarray(at, dtype=float), *basis.domain))
+    knots, degree = basis.knots, ORDER - 1
+    coeffs = np.concatenate([np.eye(basis.size), np.zeros((ORDER, basis.size))])
+    with np.errstate(invalid="raise", divide="raise"):
+        try:
+            for _ in range(2):
+                dt = knots[degree + 1 : -1] - knots[1 : -degree - 1]
+                coeffs = (coeffs[1 : -1 - degree] - coeffs[: -2 - degree]) * degree / dt[:, None]
+                coeffs = np.concatenate([coeffs, np.zeros((degree, basis.size))])
+                knots = knots[1:-1]
+                degree -= 1
+        except FloatingPointError as err:
+            raise ValueError("the basis has interior knots repeated too often for B''") from err
+    ell = _knot_interval(knots, degree, at)
+    rows = _deboor_rows(knots, degree, at, ell)
+    out = 0.0 + coeffs[ell - degree] * rows[:, :1]
+    for a in range(1, degree + 1):
+        out += coeffs[ell - degree + a] * rows[:, a : a + 1]
     return np.nan_to_num(out)
 
 

@@ -48,7 +48,7 @@ from gpcurve.io import read_matrix  # noqa: F401  (wrapped by bench/layers.py)
 from gpcurve.results import check_retained
 from gpcurve.stochastic import FactorizationError, RngStream
 
-# Names whose modules pull in scipy.interpolate, scipy.optimize and
+# Names whose modules pull in the samplers, the regression protocol and
 # scipy.sparse, mapped to those modules.  They are imported on first attribute
 # access (PEP 562), so `simulate` and `diagnose` start without them.
 # Commands look every callee up by name at the call (`_cli.<name>`), which
@@ -95,11 +95,11 @@ EXIT_UNSUPPORTED = 4
 PSRF_LIMIT = 1.1
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(flag: str, text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as err:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from err
+        raise ValueError(f"{flag}: expected comma-separated numbers, got {text!r}") from err
 
 
 def _require_out_dir(flag: str, path: str) -> None:
@@ -150,8 +150,8 @@ def _config_from_args(args) -> RunConfig:
         rho=args.rho,
         pace=args.pace,
         m=args.m,
-        tau=None if args.tau is None else _parse_floats(args.tau),
-        eval_grid=None if args.eval_grid is None else _parse_floats(args.eval_grid),
+        tau=None if args.tau is None else _parse_floats("--tau", args.tau),
+        eval_grid=None if args.eval_grid is None else _parse_floats("--eval-grid", args.eval_grid),
         trange=None if args.trange is None else list(args.trange),
         lamb_min=args.lamb_min,
         lamb_max=args.lamb_max,

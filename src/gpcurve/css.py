@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 
 from gpcurve.gridutil import check_grid, default_lambda_grid
 
 __all__ = [
+    "NaturalCubic",
     "SplineFit",
     "css_eval",
     "css_fit",
@@ -40,6 +40,60 @@ def near_interp_weight(grid) -> float:
     return 1.0 / (1.0 + h**3 / 6.0)
 
 
+class NaturalCubic:
+    """Natural cubic interpolant of ``values`` at the strictly increasing
+    ``grid``, built and evaluated as scipy's ``CubicSpline(grid, values,
+    bc_type="natural")`` is, so the two agree bit for bit.
+
+    The knot slopes solve scipy's tridiagonal system, whose end rows carry a
+    zero second derivative; each interval then holds the Hermite cubic of
+    its end values and slopes.  Evaluation follows scipy's ``PPoly``: points
+    outside the grid use the end polynomials.
+    """
+
+    def __init__(self, grid: np.ndarray, values: np.ndarray):
+        dx = np.diff(grid)
+        slope = np.diff(values) / dx
+        n = grid.size
+        ab = np.zeros((3, n))
+        ab[0, 2:] = dx[:-1]
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[-1, :-2] = dx[1:]
+        b = np.empty(n)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d2 = 0.0  # the natural end condition
+        ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
+        b[0] = -0.5 * d2 * dx[0] ** 2 + 3 * (values[1] - values[0])
+        ab[1, -1], ab[-1, -2] = 2 * dx[-1], dx[-1]
+        b[-1] = 0.5 * d2 * dx[-1] ** 2 + 3 * (values[-1] - values[-2])
+        s = sla.solve_banded(
+            (1, 1), ab, b[:, None], overwrite_ab=True, overwrite_b=True, check_finite=False
+        )[:, 0]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.breaks = grid
+        # Power-basis coefficients per interval, highest degree first.
+        self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], values[:-1]))
+
+    def __call__(self, at, nu: int = 0) -> np.ndarray:
+        """Value (``nu = 0``) or ``nu``-th derivative at ``at``, in its shape."""
+        at = np.asarray(at, dtype=float)
+        x = at.ravel()
+        last = self.breaks.size - 2
+        i = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, last)
+        s = x - self.breaks[i]
+        c = self.coeffs[:, i]
+        # Ascending powers of s, each term scaled by its derivative factor.
+        res, z = np.zeros_like(x), 1.0
+        for power in range(nu, 4):
+            factor = 1.0
+            for k in range(power, power - nu, -1):
+                factor *= k
+            res = res + c[3 - power] * z * factor
+            if power < 3:
+                z = z * s
+        return res.reshape(at.shape)
+
+
 @dataclass
 class SplineFit:
     """Fitted smoothing spline: grid, input values, fitted values, weight."""
@@ -49,13 +103,13 @@ class SplineFit:
     fitted: np.ndarray
     lamb: float
     gcv: float | None = None
-    _interp: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _interp: NaturalCubic | None = field(default=None, repr=False, compare=False)
 
-    def interpolant(self) -> CubicSpline:
+    def interpolant(self) -> NaturalCubic:
         # The smoothing-spline solution is the natural cubic interpolant of
         # its own fitted values, so this reproduces it exactly on the domain.
         if self._interp is None:
-            self._interp = CubicSpline(self.grid, self.fitted, bc_type="natural")
+            self._interp = NaturalCubic(self.grid, self.fitted)
         return self._interp
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import chdtrc
 
 __all__ = [
     "accuracy",
@@ -69,6 +68,10 @@ def pdm_pvalues(resid) -> np.ndarray:
     """
     if not resid:
         raise ValueError("no residual draws; was the sampler run with residuals enabled?")
+    # chdtrc(df, x) is the chi-square survival function itself, without the
+    # import cost of scipy.stats; imported here, so `diagnose` loads no scipy.
+    from scipy.special import chdtrc
+
     pmins = np.empty(len(resid))
     for i, r in enumerate(resid):
         r = np.asarray(r, dtype=float)
@@ -78,8 +81,6 @@ def pdm_pvalues(resid) -> np.ndarray:
             )
         ndraws, npts = r.shape
         discrepancy = np.sum(r * r, axis=1)
-        # chdtrc(df, x) is the chi-square survival function itself, without
-        # the import cost of scipy.stats.
         pvals = chdtrc(npts, discrepancy)
         pmins[i] = min(1.0, ndraws * float(np.min(pvals)))
     return pmins

@@ -257,9 +257,13 @@ def load_dataset(path) -> tuple[FunctionalDataset, dict]:
     data = FunctionalDataset(
         curves=curves,
         true_mean=None if true_mean is None else np.asarray(true_mean, dtype=float),
+        # numpy's factor refuses what LAPACK's would, without importing
+        # scipy.linalg; nothing reads the factor's bits.
         true_cov=None
         if true_cov is None
-        else SpdMatrix.from_matrix(np.asarray(true_cov, dtype=float), name="stored covariance"),
+        else SpdMatrix.from_matrix(
+            np.asarray(true_cov, dtype=float), name="stored covariance", factor=np.linalg.cholesky
+        ),
     )
     return data, meta
 

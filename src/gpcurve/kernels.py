@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from gpcurve.gridutil import check_grid
 from gpcurve.stochastic import SpdMatrix
@@ -55,6 +53,10 @@ def matern_cor(d, params: MaternParams):
     Evaluates ``2^(1-nu)/Gamma(nu) * x^nu * K_nu(x)`` with
     ``x = sqrt(2 nu) d / rho``; ``d = 0`` maps to exactly 1.
     """
+    # Imported on first call, so that importing the package loads no scipy.
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import kv
+
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("distances must be nonnegative")

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = [
     "FactorizationError",
@@ -35,14 +35,23 @@ __all__ = [
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 
-# Raw LAPACK Cholesky factor, Cholesky solve, triangular solve and
-# triangular inverse.  The scipy.linalg wrappers' per-call dispatch costs more
-# than the arithmetic at the sizes a Gibbs sweep works on, so the samplers call
-# these directly with the arguments scipy.linalg would pass (the same bits come
-# out) and do the input checks themselves (finite inputs, the ``info`` codes).
-_potrf, _potrs, _trtrs, _trtri = get_lapack_funcs(
-    ("potrf", "potrs", "trtrs", "trtri"), dtype=np.float64
-)
+
+@lru_cache(maxsize=1)
+def _lapack() -> SimpleNamespace:
+    """Raw LAPACK Cholesky factor, Cholesky solve, triangular solve and
+    triangular inverse.
+
+    The scipy.linalg wrappers' per-call dispatch costs more than the
+    arithmetic at the sizes a Gibbs sweep works on, so the samplers call
+    these directly with the arguments scipy.linalg would pass (the same bits
+    come out) and do the input checks themselves (finite inputs, the
+    ``info`` codes).  They are resolved on first use, so that a command that
+    factors nothing (``diagnose``) does not import scipy.linalg.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    names = ("potrf", "potrs", "trtrs", "trtri")
+    return SimpleNamespace(**dict(zip(names, get_lapack_funcs(names, dtype=np.float64))))
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -70,7 +79,7 @@ def cho_factor_lower(mat: np.ndarray) -> np.ndarray:
     definite; no ridge is tried (see :func:`cholesky_with_jitter`).
     """
     _check_finite(mat)
-    chol, info = _potrf(mat, lower=1, clean=1)
+    chol, info = _lapack().potrf(mat, lower=1, clean=1)
     _lapack_info(info, "potrf")
     if info:
         raise np.linalg.LinAlgError(
@@ -83,7 +92,7 @@ def cho_solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(chol chol^T) x = b`` for a lower factor ``chol``, bit-identical
     to ``scipy.linalg.cho_solve((chol, True), b)``."""
     _check_finite(chol, b)
-    x, info = _potrs(chol, b, lower=1)
+    x, info = _lapack().potrs(chol, b, lower=1)
     _lapack_info(info, "potrs")
     return x
 
@@ -138,12 +147,15 @@ def _generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or numpy Generator")
 
 
-def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix"):
+def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix", factor=cho_factor_lower):
     """Lower Cholesky factor of ``mat``, ridging the diagonal on failure.
 
     The ridge starts at ``JITTER_BASE * mean(diag)`` and escalates tenfold
     up to ``JITTER_MAX * mean(diag)``.  A matrix that still fails raises
-    :class:`FactorizationError` quoting the leading minor LAPACK flagged.
+    :class:`FactorizationError` quoting the factorization's last error.
+    ``factor`` computes each attempt and raises
+    :class:`numpy.linalg.LinAlgError` on a matrix that is not positive
+    definite; :func:`numpy.linalg.cholesky` factors without scipy.
 
     Returns
     -------
@@ -154,7 +166,7 @@ def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix"):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square 2-d array, got shape {mat.shape}")
     try:
-        return cho_factor_lower(mat), 0.0
+        return factor(mat), 0.0
     except np.linalg.LinAlgError as err:
         failure = err
     scale = float(np.mean(np.diag(mat)))
@@ -165,7 +177,7 @@ def cholesky_with_jitter(mat: np.ndarray, name: str = "matrix"):
     eye = np.eye(mat.shape[0])
     for ridge in ridges:
         try:
-            return cho_factor_lower(mat + ridge * eye), ridge
+            return factor(mat + ridge * eye), ridge
         except np.linalg.LinAlgError as err:
             failure = err
     raise FactorizationError(
@@ -193,8 +205,11 @@ class SpdMatrix:
     _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_matrix(cls, mat, name: str = "matrix", sym_tol: float = 1e-12) -> "SpdMatrix":
-        """Validate symmetry, symmetrize, and factor with the ridge schedule."""
+    def from_matrix(
+        cls, mat, name: str = "matrix", sym_tol: float = 1e-12, factor=cho_factor_lower
+    ) -> "SpdMatrix":
+        """Validate symmetry, symmetrize, and factor with the ridge schedule
+        (see :func:`cholesky_with_jitter` for ``factor``)."""
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"{name} must be a square 2-d array, got shape {mat.shape}")
@@ -207,7 +222,7 @@ class SpdMatrix:
                 f"exceeds {sym_tol:g} relative"
             )
         sym = (mat + mat.T) / 2.0
-        chol, jitter = cholesky_with_jitter(sym, name=name)
+        chol, jitter = cholesky_with_jitter(sym, name=name, factor=factor)
         if jitter:
             sym = sym + jitter * np.eye(sym.shape[0])
         return cls(mat=sym, chol=chol, jitter=jitter)
@@ -222,7 +237,7 @@ class SpdMatrix:
         read-only array."""
         if self._inverse is None:
             _check_finite(self.chol)
-            g, info = _trtri(self.chol, lower=1)
+            g, info = _lapack().trtri(self.chol, lower=1)
             _lapack_info(info, "trtri")
             if info:
                 raise np.linalg.LinAlgError(f"singular factor: zero at diagonal {info - 1}")
@@ -240,9 +255,10 @@ def cho_solve_batched(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     overwritten with the solutions and returned.  One LAPACK ``potrs`` call
     per row.
     """
+    potrs = _lapack().potrs
     for i in range(rhs.shape[0]):
         # chol[i].T is a Fortran-ordered view of the upper factor L_i^T.
-        rhs[i], info = _potrs(chol[i].T, rhs[i], lower=0, overwrite_b=1)
+        rhs[i], info = potrs(chol[i].T, rhs[i], lower=0, overwrite_b=1)
         if info:
             raise np.linalg.LinAlgError(f"Cholesky solve failed for row {i}: LAPACK info {info}")
     return rhs
@@ -301,7 +317,7 @@ def sample_inverse_wishart(delta: float, scale: SpdMatrix, rng) -> SpdMatrix:
         rows, cols = _strict_upper_indices(p)
         u[rows, cols] = gen.standard_normal(rows.size)
     # U T^T = L^T, so T^T = U^-1 L^T is upper-triangular: one LAPACK trtrs.
-    chol_t, info = _trtrs(u, scale.chol.T, lower=0, trans=0)
+    chol_t, info = _lapack().trtrs(u, scale.chol.T, lower=0, trans=0)
     _lapack_info(info, "trtrs")
     if info:
         raise np.linalg.LinAlgError(f"singular Bartlett factor: zero at diagonal {info - 1}")

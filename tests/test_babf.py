@@ -409,6 +409,15 @@ def test_run_refuses_estimates_off_the_working_grid():
         babf_run(data, hyper, est=pooled, L=5, domain=DOMAIN, M=20, burnin=10)
 
 
+def test_run_refuses_estimates_off_the_working_grid_before_building_a_prior():
+    # Without prior settings the run would build them from the estimates;
+    # the refusal must name the estimates, not settings nobody passed.
+    data = sim_gfd_rgrid(SimConfig(n=4, p=10, seed=8))
+    pooled = empirical_estimates(data)
+    with pytest.raises(ValueError, match="empirical estimates must be on the working grid"):
+        babf_run(data, est=pooled, L=5, domain=DOMAIN, M=20, burnin=10)
+
+
 def test_run_validations():
     data = sim_gfd_rgrid(SimConfig(n=4, p=10, seed=8))
     with pytest.raises(ValueError, match="M > burnin"):

@@ -187,7 +187,9 @@ def test_exit_codes(tmp_path, dataset, capsys):
     assert run("diagnose", str(tmp_path / "absent.json")) == 2
     assert run("smooth", "--data", data, "--out", out, "--tau", "0.1,oops") == 2
     err = capsys.readouterr().err
-    assert "out of scope" in err and "comma-separated" in err
+    assert "out of scope" in err and "comma-separated" in err and "--tau" in err
+    assert run("smooth", "--data", data, "--out", out, "--eval-grid", "0.1,oops") == 2
+    assert "--eval-grid: expected comma-separated numbers" in capsys.readouterr().err
 
 
 def test_too_short_run_exits_2_before_writing(tmp_path, dataset, capsys):

@@ -116,6 +116,26 @@ def test_dataset_load_errors(tmp_path, small_data):
         load_dataset(path)
 
 
+def test_dataset_refuses_a_stored_covariance_that_is_not_spd(tmp_path, small_data):
+    path = tmp_path / "d.json"
+    save_dataset(path, small_data, domain=(0.0, 1.6))
+    payload = json.loads(path.read_text())
+    cov = np.asarray(payload["meta"]["true_cov"])
+    back, _ = load_dataset(path)
+    np.testing.assert_allclose(back.true_cov.chol @ back.true_cov.chol.T, cov, atol=1e-12)
+
+    bad = {
+        "not symmetric": cov + np.triu(np.full(cov.shape, 0.1), k=1),
+        "infs or NaNs": np.where(np.eye(cov.shape[0]) > 0, np.nan, cov),
+        "not positive definite": -np.eye(cov.shape[0]),
+    }
+    for message, mat in bad.items():
+        payload["meta"]["true_cov"] = mat.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises((ValueError, np.linalg.LinAlgError), match=message):
+            load_dataset(path)
+
+
 def test_dataset_requires_domain(tmp_path, small_data):
     path = tmp_path / "d.json"
     save_dataset(path, small_data, domain=(0.0, 1.6))

@@ -1,9 +1,12 @@
 """Start-up budget of the CLI: each command imports only what it runs.
 
 `simulate` and `diagnose` need neither the samplers nor the regression
-protocol, so they must start without the scipy subpackages those bring in.
-The checks run in fresh interpreters, since this test process has long
-imported everything.
+protocol, so they must start without the scipy subpackages those bring in;
+`diagnose` factors nothing and evaluates no special function, so it loads
+no scipy module at all.  The spline kernels are the package's own, so no
+command loads scipy.interpolate or the scipy.optimize it pulls in.  The
+checks run in fresh interpreters, since this test process has long imported
+everything.
 """
 
 import ast
@@ -20,15 +23,22 @@ import gpcurve
 from gpcurve import cli
 
 HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+# What no command needs: the package evaluates splines with its own kernels.
+INTERPOLATE = ("scipy.interpolate", "scipy.optimize")
 PACKAGE_DIR = Path(gpcurve.__file__).resolve().parent
 
 # Runs `cli.main` on the given arguments (none: import only) and prints, on
-# its last line, the exit code and which of HEAVY were imported.
+# its last line, the exit code, which of HEAVY were imported, and every
+# scipy module imported.
 PROBE = f"""
 import json, sys
 from gpcurve import cli
 rc = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps({{"rc": rc, "loaded": [m for m in {HEAVY!r} if m in sys.modules]}}))
+print(json.dumps({{
+    "rc": rc,
+    "loaded": [m for m in {HEAVY!r} if m in sys.modules],
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+}}))
 """
 
 
@@ -76,6 +86,49 @@ def test_simulate_and_diagnose_load_no_heavy_scipy_subpackage(workdir):
     )
     diag = _probe(workdir, "diagnose", "fit.json", "--data", "data.json")
     assert diag["loaded"] == []
+
+
+@pytest.fixture(scope="module")
+def random_grid_data(workdir):
+    _run(
+        [
+            "-m", "gpcurve.cli", "simulate", "--out", "rdata.json", "--n", "6", "--p", "10",
+            "--cgrid", "0", "--rgrid", "1", "--seed", "3",
+        ],
+        workdir,
+    )
+    return "rdata.json"
+
+
+@pytest.mark.parametrize("smethod", ["bhm", "babf"])
+def test_smooth_loads_no_interpolation_or_optimization(workdir, random_grid_data, smethod):
+    fit = f"fit_{smethod}.json"
+    report = _probe(
+        workdir, "smooth", "--data", random_grid_data, "--out", fit, "--smethod", smethod,
+        "--m", "6", "--M", "40", "--Burnin", "10", "--resid-thin", "2", "--seed", "3",
+    )
+    assert [m for m in INTERPOLATE if m in report["scipy"]] == []
+    # regress smooths the inputs with splines and fits penalized B-spline
+    # regressions, on its own kernels too.
+    report = _probe(
+        workdir, "regress", "--data", random_grid_data, "--results", fit,
+        "--replicates", "2", "--n-train", "4",
+    )
+    assert [m for m in INTERPOLATE if m in report["scipy"]] == []
+
+
+@pytest.mark.parametrize("smethod", ["bhm", "babf"])
+def test_diagnose_loads_no_scipy_module(workdir, random_grid_data, smethod):
+    fit = f"diag_{smethod}.json"
+    _run(
+        [
+            "-m", "gpcurve.cli", "smooth", "--data", random_grid_data, "--out", fit,
+            "--smethod", smethod, "--m", "6", "--M", "40", "--Burnin", "10", "--chains", "2",
+            "--resid-thin", "2", "--seed", "3",
+        ],
+        workdir,
+    )
+    assert _probe(workdir, "diagnose", fit, "--data", random_grid_data)["scipy"] == []
 
 
 def test_smooth_runs_under_cprofile(workdir):
