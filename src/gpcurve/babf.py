@@ -81,6 +81,9 @@ class BabfContext(Design):
     btb: np.ndarray
     btx: np.ndarray
 
+    # Its grid bands are images of the draws through ``b_eval``.
+    keeps_order_stats = False
+
     def residuals(self, coef: np.ndarray) -> np.ndarray:
         return self.x_pad - np.matmul(self.b_pad, coef[:, :, None])[:, :, 0]
 
@@ -227,8 +230,8 @@ def babf_run(
     ``runtime_seconds`` covers the sampler alone, as in ``bhm_run``:
     context, initial state, sweeps and summaries, not the empirical
     estimates or the prior settings.  With ``summarize=False`` the posterior
-    summaries and fit p-values are skipped and the result is ``None``; the
-    draws are the same either way.
+    summaries and fit p-values are skipped, the result is ``None`` and the
+    draws keep only the monitored ones, the same as a summarized run's.
     """
     if rng is None:
         rng = RngStream(0)
@@ -249,5 +252,5 @@ def babf_run(
     basis = build_basis(working, domain=domain)
     eval_grid = pooled if eval_grid is None else check_grid(eval_grid, "eval_grid")
     ctx = build_babf_context(data, hyper, basis, working.tau, eval_grid)
-    draws = run_sweeps(ctx, babf_init(ctx, est), M, burnin, rng, resid_thin)
+    draws = run_sweeps(ctx, babf_init(ctx, est), M, burnin, rng, resid_thin, summarize)
     return draws, _summarize(draws, ctx, started) if summarize else None

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -88,7 +88,14 @@ class Design:
     draws every curve's coefficients and :meth:`residuals` maps them to the
     data.  Summaries are reported on ``grid``, the image of the coefficients
     through the evaluation basis ``b_eval`` (``None``: the identity).
+
+    ``keeps_order_stats`` says what a chain keeps (:class:`Draws`): order
+    statistics of the coefficient and covariance cells for a design that
+    reports on the grid it samples, with no evaluation basis, else the
+    draws themselves.  The memory guard reads it before any design exists.
     """
+
+    keeps_order_stats: ClassVar[bool]
 
     method: str
     data: FunctionalDataset
@@ -159,6 +166,8 @@ class BhmContext(Design):
     obs_flat: np.ndarray
     x_obs: np.ndarray
     block_gather: np.ndarray | None
+
+    keeps_order_stats = True
 
     def residuals(self, coef: np.ndarray) -> np.ndarray:
         resid = np.zeros(self.obs_valid.shape)
@@ -355,17 +364,28 @@ def bhm_step_scale(state: GibbsState, ctx: Design, rng: RngStream) -> float:
 
 
 def run_sweeps(
-    ctx: Design, state: GibbsState, M: int, burnin: int, rng: RngStream, resid_thin: int
+    ctx: Design,
+    state: GibbsState,
+    M: int,
+    burnin: int,
+    rng: RngStream,
+    resid_thin: int,
+    summarize: bool = True,
 ) -> Draws:
-    """Run M sweeps from ``state``, which they update, and return the draws
-    of sweeps ``burnin`` .. ``M - 1`` (:meth:`Draws.allocate` checks the
-    counts and the memory first).
+    """Run M sweeps from ``state``, which they update, and return what
+    sweeps ``burnin`` .. ``M - 1`` leave in a :class:`Draws`: order
+    statistics or the draws, as the design keeps (``keeps_order_stats``);
+    with ``summarize`` False only the monitored draws
+    (:meth:`Draws.allocate` checks the counts and the memory first).
 
     Each sweep draws the signals, the covariance given them and the mean,
     the mean given the new covariance, the noise, then the scale.
     """
     sizes = [c.grid.size for c in ctx.data.curves]
-    draws = Draws.allocate(ctx.n, ctx.dim, sizes, M, burnin, resid_thin, basis=ctx.b_eval)
+    draws = Draws.allocate(
+        ctx.n, ctx.dim, sizes, M, burnin, resid_thin,
+        order_stats=ctx.keeps_order_stats, basis=ctx.b_eval, summarize=summarize,
+    )
 
     def resid():
         r = ctx.residuals(state.coef) / np.sqrt(state.sigma_eps2)
@@ -390,11 +410,14 @@ def bhm_run(
     resid_thin: int = 10,
     summarize: bool = True,
 ) -> tuple[Draws, SmoothResult | None]:
-    """Run the Gibbs sampler on the pooled grid and summarize the retained draws.
+    """Run the Gibbs sampler on the pooled grid and summarize what it kept.
 
-    The draws' coefficients are the pooled-grid signal values (no basis).
-    With ``summarize=False`` the posterior summaries and fit p-values are
-    skipped and the result is ``None``; the draws are the same either way.
+    The coefficients are the pooled-grid signal values (no basis), so the
+    draws keep the order statistics and running sums of the curve and
+    covariance cells, not every draw (:class:`Draws`).  With
+    ``summarize=False`` the posterior summaries and fit p-values are
+    skipped, the result is ``None`` and the draws keep only the monitored
+    ones, the same as a summarized run's.
     """
     if rng is None:
         rng = RngStream(0)
@@ -402,7 +425,7 @@ def bhm_run(
         est = empirical_estimates(data)
     started = time.perf_counter()
     ctx = build_context(data, hyper)
-    draws = run_sweeps(ctx, bhm_init(ctx, est), M, burnin, rng, resid_thin)
+    draws = run_sweeps(ctx, bhm_init(ctx, est), M, burnin, rng, resid_thin, summarize)
     return draws, _summarize(draws, ctx, started) if summarize else None
 
 

@@ -48,12 +48,18 @@ from gpcurve.io import read_matrix  # noqa: F401  (wrapped by bench/layers.py)
 from gpcurve.results import check_retained
 from gpcurve.stochastic import FactorizationError, RngStream
 
+# The most points of babf's default evaluation grid: with neither evaluation
+# grid flag, a larger pooled grid gives way to this many equally spaced points.
+EVAL_GRID_CAP = 100
+
 # Names whose modules pull in the samplers, the regression protocol and
 # scipy.sparse, mapped to those modules.  They are imported on first attribute
 # access (PEP 562), so `simulate` and `diagnose` start without them.
 # Commands look every callee up by name at the call (`_cli.<name>`), which
 # keeps them patchable by name like the eagerly imported callees.
 _DEFERRED = {
+    "BabfContext": "gpcurve.babf",
+    "BhmContext": "gpcurve.bhm",
     "babf_run": "gpcurve.babf",
     "babf_working_grid": "gpcurve.babf",
     "bhm_run": "gpcurve.bhm",
@@ -195,8 +201,9 @@ def cmd_smooth(args) -> int:
     # Empirical estimates and prior settings depend on the data and the
     # config only, so every chain shares one set.  bhm builds them on the
     # pooled grid, babf on its working grid.
+    grid_note = None
     if cfg.smethod == "bhm":
-        run, est_grid, run_kwargs = _cli.bhm_run, None, {}
+        design, run, est_grid, run_kwargs = _cli.BhmContext, _cli.bhm_run, None, {}
     else:
         tau = None if cfg.tau is None else np.asarray(cfg.tau, dtype=float)
         est_grid = _cli.babf_working_grid(data.pooled_grid, cfg.m, tau).tau
@@ -211,14 +218,27 @@ def cmd_smooth(args) -> int:
                 )
         elif args.eval_grid_len is not None:
             eval_grid = np.linspace(domain[0], domain[1], args.eval_grid_len)
-        run = _cli.babf_run
+        elif data.pooled_grid.size > EVAL_GRID_CAP:
+            # Every E x E summary grows with the square of the evaluation
+            # grid, so a large pooled grid is not the default one.
+            eval_grid = np.linspace(domain[0], domain[1], EVAL_GRID_CAP)
+            grid_note = (
+                f"  evaluated on {EVAL_GRID_CAP} equally spaced points over "
+                f"[{domain[0]:g}, {domain[1]:g}]: the pooled grid has "
+                f"{data.pooled_grid.size} points, more than {EVAL_GRID_CAP}; "
+                "--eval-grid or --eval-grid-len sets the grid"
+            )
+        design, run = _cli.BabfContext, _cli.babf_run
         run_kwargs = dict(L=cfg.m, tau=tau, eval_grid=eval_grid, domain=domain)
-    # Each chain retains draws of the sampled dimension (the pooled grid for
-    # bhm, the working grid for babf), so refuse what cannot fit before the
-    # estimates are built.
+    # Chain 0 keeps the most: what its design keeps of the sampled dimension
+    # (the pooled grid for bhm, the working grid for babf).  Refuse what
+    # cannot fit before the estimates are built.
     dim = data.pooled_grid.size if est_grid is None else est_grid.size
     sizes = [c.grid.size for c in data.curves]
-    check_retained(data.n_curves, dim, sizes, cfg.M, cfg.Burnin, cfg.resid_thin)
+    check_retained(
+        data.n_curves, dim, sizes, cfg.M, cfg.Burnin, cfg.resid_thin,
+        order_stats=design.keeps_order_stats,
+    )
     est = _cli.empirical_estimates(data, candidates=candidates, eval_grid=est_grid)
     hyper = _cli.build_hyperparams(
         est,
@@ -277,6 +297,8 @@ def cmd_smooth(args) -> int:
         f"(95% CI {primary.rn_CI[0]:.4f}..{primary.rn_CI[1]:.4f}), "
         f"smallest fit p-value {pmin:.4f} ({interpret_pmin(pmin)})"
     )
+    if grid_note:
+        print(grid_note)
     return EXIT_OK
 
 
@@ -460,7 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     smo.add_argument("--pace", type=int, default=0, choices=(0, 1), help="external pre-estimates")
     smo.add_argument("--m", type=int, default=20, help="basis working grid size")
     smo.add_argument("--tau", default=None, help="explicit working grid, comma separated")
-    smo.add_argument("--eval-grid", default=None, help="evaluation grid, comma separated")
+    smo.add_argument(
+        "--eval-grid",
+        default=None,
+        help=(
+            "evaluation grid, comma separated (babf; default the pooled grid, "
+            f"or {EVAL_GRID_CAP} equally spaced points when it has more)"
+        ),
+    )
     smo.add_argument("--eval-grid-len", type=int, default=None, help="equally spaced evaluation grid size")
     smo.add_argument("--trange", type=float, nargs=2, default=None, help="domain override: low high")
     smo.add_argument("--lamb-min", type=float, default=0.90)

@@ -232,7 +232,7 @@ def test_runs_sweep_the_public_steps_in_the_documented_order(method):
         data = sim_gfd(SimConfig(n=6, p=10, seed=8, cgrid=False))
         est = empirical_estimates(data)
         hyper = build_hyperparams(est)
-        draws, _ = bhm_run(data, hyper, est, M=sweeps, burnin=0, rng=RngStream(7), summarize=False)
+        draws, _ = bhm_run(data, hyper, est, M=sweeps, burnin=0, rng=RngStream(7))
         ctx = build_context(data, hyper)
         state, signals = bhm_init(ctx, est), bhm_step_signals
     else:
@@ -241,24 +241,41 @@ def test_runs_sweep_the_public_steps_in_the_documented_order(method):
         est = empirical_estimates(data, eval_grid=working.tau)
         hyper = build_hyperparams(est, ws=1.0)
         draws, _ = babf_run(
-            data, hyper, est, L=6, domain=DOMAIN, M=sweeps, burnin=0, rng=RngStream(7),
-            summarize=False,
+            data, hyper, est, L=6, domain=DOMAIN, M=sweeps, burnin=0, rng=RngStream(7)
         )
         basis = build_basis(working, domain=DOMAIN)
         ctx = build_babf_context(data, hyper, basis, working.tau, data.pooled_grid)
         state, signals = babf_init(ctx, est), babf_step_coeffs
     rng = RngStream(7)
+    cells = []
     for k in range(sweeps):
         state.coef = signals(state, ctx, rng)
         state.Sigma = bhm_step_cov(state, ctx, rng)
         state.mu = bhm_step_mean(state, ctx, rng)
         state.sigma_eps2, precision = bhm_step_noise(state, ctx, rng)
         state.sigma_s2 = bhm_step_scale(state, ctx, rng)
-        np.testing.assert_array_equal(draws.coef[k], state.coef)
-        np.testing.assert_array_equal(unpack_lower(draws.Sigma[k]), state.Sigma.mat)
+        if method == "babf":
+            np.testing.assert_array_equal(draws.coef[k], state.coef)
+            np.testing.assert_array_equal(unpack_lower(draws.Sigma[k]), state.Sigma.mat)
+        else:
+            np.testing.assert_array_equal(draws.Sigma_diag[k], np.diag(state.Sigma.mat))
+            rows, cols = np.tril_indices(ctx.dim)
+            cells.append(np.concatenate([state.coef.ravel(), state.Sigma.mat[rows, cols]]))
         np.testing.assert_array_equal(draws.mu[k], state.mu)
         assert draws.precision[k] == precision
         assert draws.sigma_s2[k] == state.sigma_s2
+    if method == "bhm":
+        # Five draws fit the order-statistics buffer: each sweep's curve and
+        # packed covariance cells are one row (which the summaries reorder
+        # within each cell), and the sums add them in order.
+        assert draws._filled == sweeps
+        np.testing.assert_array_equal(
+            np.sort(draws.extremes[:sweeps], axis=0), np.sort(np.stack(cells), axis=0)
+        )
+        sums = np.zeros(cells[0].size)
+        for row in cells:
+            sums += row
+        np.testing.assert_array_equal(draws.cell_sums, sums)
 
 
 def test_run_shapes_determinism_and_reconstruction():
@@ -336,17 +353,42 @@ def test_retained_draws_do_not_grow_with_the_evaluation_grid():
 
 @pytest.mark.parametrize("method", ["babf", "bhm"])
 def test_memory_guard_estimate_is_what_the_draws_keep(method):
+    # 30 draws: bhm's order-statistics buffer of 8 rows merges during the run.
     data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
-    common = dict(M=50, burnin=20, rng=RngStream(3), resid_thin=4, summarize=False)
+    sizes = [c.grid.size for c in data.curves]
+    for summarize in (True, False):
+        common = dict(M=50, burnin=20, rng=RngStream(3), resid_thin=4, summarize=summarize)
+        if method == "babf":
+            draws, _ = babf_run(data, L=6, domain=DOMAIN, hyper_kwargs={"ws": 1.0}, **common)
+        else:
+            draws, _ = bhm_run(data, build_hyperparams(empirical_estimates(data)), **common)
+        K = draws.mu.shape[1]
+        if method == "babf":
+            assert draws.Sigma.shape == (30, K * (K + 1) // 2)
+        else:
+            assert draws.Sigma_diag.shape == (30, K)
+            if summarize:
+                assert draws.extremes.shape == (8, 5 * K + K * (K + 1) // 2)
+        kept = sum(a.nbytes for name, a in _draw_arrays(draws) if name != "basis")
+        assert kept == retained_bytes(
+            5, K, sizes, ndraws=30, n_resid=7, order_stats=method == "bhm", summarize=summarize
+        )
+
+
+@pytest.mark.parametrize("method", ["babf", "bhm"])
+def test_a_chain_without_summaries_keeps_only_its_monitored_draws(method):
+    data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
+    common = dict(M=50, burnin=20, rng=RngStream(3), summarize=False)
     if method == "babf":
         draws, _ = babf_run(data, L=6, domain=DOMAIN, hyper_kwargs={"ws": 1.0}, **common)
+        covariance = draws.Sigma
     else:
         draws, _ = bhm_run(data, build_hyperparams(empirical_estimates(data)), **common)
-    K = draws.coef.shape[2]
-    assert draws.Sigma.shape == (30, K * (K + 1) // 2)
+        covariance = draws.Sigma_diag
+    monitored = [draws.precision, draws.sigma_s2, draws.mu, covariance]
     kept = sum(a.nbytes for name, a in _draw_arrays(draws) if name != "basis")
-    sizes = [c.grid.size for c in data.curves]
-    assert kept == retained_bytes(5, K, sizes, ndraws=30, n_resid=7)
+    assert kept <= sum(a.nbytes for a in monitored)
+    assert draws.coef is None and draws.resid == [] and draws.extremes is None
 
 
 def test_default_pooled_eval_grid_keeps_only_the_basis_on_its_axis():
@@ -387,15 +429,17 @@ def test_summaries_commute_with_the_basis_when_eval_is_tau():
 
 
 def test_run_without_summaries_keeps_the_same_draws():
+    # What a run without summaries keeps, the monitored draws, equals the
+    # same fields of a summarized run; it keeps nothing else.
     data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
     kwargs = dict(L=6, domain=DOMAIN, M=50, burnin=20, resid_thin=3, hyper_kwargs={"ws": 1.0})
     draws_a, res_a = babf_run(data, rng=RngStream(3), **kwargs)
     draws_b, res_b = babf_run(data, rng=RngStream(3), summarize=False, **kwargs)
     assert res_a is not None and res_b is None
-    for f in dataclasses.fields(draws_a):
-        a, b = getattr(draws_a, f.name), getattr(draws_b, f.name)
-        for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
-            np.testing.assert_array_equal(x, y)
+    kept = dict(_draw_arrays(draws_b))
+    assert sorted(kept) == ["Sigma", "basis", "mu", "precision", "sigma_s2"]
+    for name, b in kept.items():
+        np.testing.assert_array_equal(getattr(draws_a, name), b)
 
 
 def test_run_refuses_estimates_off_the_working_grid():

@@ -19,6 +19,7 @@ from gpcurve.bhm import (
 from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd
 from gpcurve.empirical import HyperParams, empirical_estimates
 from gpcurve.kernels import CovarianceModel
+from gpcurve.results import _extreme_rows, summarize_draws
 from gpcurve.stochastic import (
     RngStream,
     SpdMatrix,
@@ -279,15 +280,41 @@ def _hyper_for(data):
     return build_hyperparams(empirical_estimates(data))
 
 
+def hand_loop(data, hyper, M, burnin, seed):
+    """The states of sweeps ``burnin`` .. ``M - 1`` of :func:`bhm_run`'s
+    chain, run step by step through the public steps: curve, mean and
+    covariance draws, stacked."""
+    ctx = build_context(data, hyper)
+    state = bhm_init(ctx, empirical_estimates(data))
+    rng = RngStream(seed)
+    coef, mu, sigma = [], [], []
+    for it in range(M):
+        state.coef = bhm_step_signals(state, ctx, rng)
+        state.Sigma = bhm_step_cov(state, ctx, rng)
+        state.mu = bhm_step_mean(state, ctx, rng)
+        state.sigma_eps2, _ = bhm_step_noise(state, ctx, rng)
+        state.sigma_s2 = bhm_step_scale(state, ctx, rng)
+        if it >= burnin:
+            coef.append(state.coef)
+            mu.append(state.mu)
+            sigma.append(state.Sigma.mat)
+    return np.stack(coef), np.stack(mu), np.stack(sigma)
+
+
 def test_run_shapes_determinism_and_validation():
     data = sim_gfd(SimConfig(n=6, p=10, seed=8))
     hyper = _hyper_for(data)
     draws_a, res_a = bhm_run(data, hyper, M=60, burnin=20, rng=RngStream(4))
     draws_b, res_b = bhm_run(data, hyper, M=60, burnin=20, rng=RngStream(4))
-    np.testing.assert_array_equal(draws_a.coef, draws_b.coef)
-    np.testing.assert_array_equal(draws_a.Sigma, draws_b.Sigma)
-    assert draws_a.coef.shape == (40, 6, 10)
+    for name in ("mu", "Sigma_diag", "cell_sums", "extremes"):
+        np.testing.assert_array_equal(getattr(draws_a, name), getattr(draws_b, name))
+    # 40 draws keep no per-draw curves or covariances: the sums and order
+    # statistics of the 6 x 10 curve and 55 packed covariance cells.
+    assert draws_a.coef is None and draws_a.Sigma is None
+    assert draws_a.cell_sums.shape == (115,)
+    assert draws_a.extremes.shape == (_extreme_rows(40), 115) == (8, 115)
     assert draws_a.mu.shape == (40, 10)
+    assert draws_a.Sigma_diag.shape == (40, 10)
     assert len(draws_a.resid) == 6
     assert draws_a.resid[0].shape == (4, 10)
     assert res_a.method == "bhm"
@@ -297,10 +324,17 @@ def test_run_shapes_determinism_and_validation():
     assert res_a.runtime_seconds > 0.0
     assert np.all((res_a.pmin_vec >= 0.0) & (res_a.pmin_vec <= 1.0))
     np.testing.assert_allclose(res_a.Sigma, res_a.Sigma.T, atol=1e-10)
+    for got, want in (
+        (res_a.Z, res_b.Z), (res_a.Z_CL, res_b.Z_CL), (res_a.Sigma_UL, res_b.Sigma_UL)
+    ):
+        np.testing.assert_array_equal(got, want)
 
-    single, _ = bhm_run(data, hyper, M=21, burnin=20, rng=RngStream(0), resid_thin=1)
-    assert single.coef.shape == (1, 6, 10)
+    single, res = bhm_run(data, hyper, M=21, burnin=20, rng=RngStream(0), resid_thin=1)
+    assert single.extremes.shape == (1, 115)
     assert single.resid[0].shape == (1, 10)
+    # One draw is its own mean and both ends of its band.
+    np.testing.assert_array_equal(res.Z_CL, res.Z)
+    np.testing.assert_array_equal(res.Sigma_UL, res.Sigma)
     with pytest.raises(ValueError, match="M > burnin"):
         bhm_run(data, hyper, M=10, burnin=10)
     with pytest.raises(ValueError, match="resid_thin"):
@@ -309,6 +343,8 @@ def test_run_shapes_determinism_and_validation():
 
 @pytest.mark.parametrize("cgrid", [True, False])
 def test_run_without_summaries_keeps_the_same_draws(cgrid):
+    # What a run without summaries keeps, the monitored draws, equals the
+    # same fields of a summarized run; it keeps nothing else.
     data = sim_gfd(SimConfig(n=6, p=10, seed=8, cgrid=cgrid))
     hyper = _hyper_for(data)
     draws_a, res_a = bhm_run(data, hyper, M=60, burnin=20, rng=RngStream(4), resid_thin=3)
@@ -316,55 +352,95 @@ def test_run_without_summaries_keeps_the_same_draws(cgrid):
         data, hyper, M=60, burnin=20, rng=RngStream(4), resid_thin=3, summarize=False
     )
     assert res_a is not None and res_b is None
-    for f in dataclasses.fields(draws_a):
-        a, b = getattr(draws_a, f.name), getattr(draws_b, f.name)
-        for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
-            np.testing.assert_array_equal(x, y)
+    kept = {
+        f.name: getattr(draws_b, f.name)
+        for f in dataclasses.fields(draws_b)
+        if isinstance(getattr(draws_b, f.name), np.ndarray)
+    }
+    assert sorted(kept) == ["Sigma_diag", "mu", "precision", "sigma_s2"]
+    assert draws_b.resid == []
+    with pytest.raises(ValueError, match="keep no summaries"):
+        summarize_draws(draws_b)
+    for name, b in kept.items():
+        np.testing.assert_array_equal(getattr(draws_a, name), b)
+
+
+def assert_whole_array_reductions(got, coef, mu, sigma):
+    """The summaries ``got``, keyed by their SmoothResult field names, are
+    mean and np.quantile over the curve, mean and covariance draws, bit for
+    bit."""
+    for summary, arr in (
+        ((got["Z"], got["Z_CL"], got["Z_UL"]), coef),
+        ((got["mu"], *got["mu_CI"]), mu),
+        ((got["Sigma"], got["Sigma_CL"], got["Sigma_UL"]), sigma),
+    ):
+        np.testing.assert_array_equal(summary[0], arr.mean(axis=0))
+        lo, hi = np.quantile(arr, (0.025, 0.975), axis=0)
+        np.testing.assert_array_equal(summary[1], lo)
+        np.testing.assert_array_equal(summary[2], hi)
+    dev = got["Z"] - got["Z"].mean(axis=0)
+    np.testing.assert_array_equal(got["Sigma_SE"], dev.T @ dev / (got["Z"].shape[0] - 1))
+
+
+def check_summaries_against_a_hand_loop(data, ndraws):
+    """A bhm run's means and bands equal mean and np.quantile over the states
+    of a hand loop of the public steps, bit for bit; returns those states."""
+    hyper = _hyper_for(data)
+    draws, res = bhm_run(data, hyper, M=ndraws + 20, burnin=20, rng=RngStream(5))
+    coef, mu, sigma = hand_loop(data, hyper, ndraws + 20, 20, seed=5)
+    assert_whole_array_reductions(vars(res), coef, mu, sigma)
+    diag = np.arange(data.pooled_grid.size)
+    np.testing.assert_array_equal(draws.grid_mu(), mu)
+    np.testing.assert_array_equal(draws.grid_sigma_diag(diag), sigma[:, diag, diag])
+    with pytest.raises(ValueError, match="order statistics"):
+        summarize_draws(draws, np.eye(data.pooled_grid.size))
+    return coef, mu, sigma
+
+
+def test_common_grid_summaries_equal_whole_array_reductions_bit_for_bit():
+    check_summaries_against_a_hand_loop(sim_gfd(SimConfig(n=5, p=11, seed=9)), ndraws=97)
 
 
 def test_summaries_equal_whole_array_reductions_bit_for_bit(monkeypatch):
     from gpcurve import results
-    from gpcurve.results import summarize_draws, unpack_lower
+    from gpcurve.results import Draws
 
+    # 97 draws: the order-statistics buffer of 16 rows merges 11 times, the
+    # last just before the final draw is written.
+    ndraws = 97
+    assert _extreme_rows(ndraws) == 16
     data = sim_gfd(SimConfig(n=5, p=11, seed=9, cgrid=False))
-    hyper = _hyper_for(data)
-    ndraws = 40
-    # Blocks of 7 cells: 11 pooled points and 66 packed covariance entries
-    # split into uneven blocks.
-    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 7)
-    draws, res = bhm_run(data, hyper, M=ndraws + 20, burnin=20, rng=RngStream(5))
-    sigma = unpack_lower(draws.Sigma)
+    coef, mu, sigma = check_summaries_against_a_hand_loop(data, ndraws)
     probs = (0.025, 0.975)
-    for got, arr in (
-        ((res.Z, res.Z_CL, res.Z_UL), draws.coef),
-        ((res.mu, *res.mu_CI), draws.mu),
-        ((res.Sigma, res.Sigma_CL, res.Sigma_UL), sigma),
-    ):
-        np.testing.assert_array_equal(got[0], arr.mean(axis=0))
-        lo, hi = np.quantile(arr, probs, axis=0)
-        np.testing.assert_array_equal(got[1], lo)
-        np.testing.assert_array_equal(got[2], hi)
-    diag = np.arange(data.pooled_grid.size)
-    np.testing.assert_array_equal(draws.grid_mu(), draws.mu)
-    np.testing.assert_array_equal(draws.grid_sigma_diag(diag), sigma[:, diag, diag])
 
-    # Through a basis, the bands are those of the unpacked image draws.
+    # The same states kept as draws, as babf keeps its coefficients.
+    E, (n, p) = 12, coef.shape[1:]
+    basis = np.random.default_rng(2).standard_normal((E, p))
+    with_basis = Draws.allocate(n, p, [1] * n, ndraws, 0, 1, order_stats=False, basis=basis)
+    for k in range(ndraws):
+        with_basis.record(k, coef[k], mu[k], sigma[k], 1.0, 1.0, lambda: [np.zeros(1)] * n)
+
+    # Summarized without the basis (babf's coefficient-space summaries) they
+    # give the same bits.  Blocks of 7 cells: 11 pooled points and 66 packed
+    # covariance entries split into uneven blocks.
+    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 7)
+    assert_whole_array_reductions(summarize_draws(with_basis), coef, mu, sigma)
+
+    # Through the basis they give the bands of the unpacked image draws.
     # Blocks of three rows (the image of a single row is a matrix-vector
     # product, rounded differently) split the five curves unevenly.
-    E = 12
     monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 3 * E)
-    basis = np.random.default_rng(2).standard_normal((E, data.pooled_grid.size))
-    got = summarize_draws(draws, basis)
+    got = summarize_draws(with_basis, basis)
     for summary, image, mean in (
         (
             (got["Z"], got["Z_CL"], got["Z_UL"]),
-            draws.coef @ basis.T,
-            draws.coef.mean(axis=0) @ basis.T,
+            coef @ basis.T,
+            coef.mean(axis=0) @ basis.T,
         ),
         (
             (got["mu"], *got["mu_CI"]),
-            (draws.mu[:, None, :] @ basis.T)[:, 0],
-            basis @ draws.mu.mean(axis=0),
+            (mu[:, None, :] @ basis.T)[:, 0],
+            basis @ mu.mean(axis=0),
         ),
         (
             (got["Sigma"], got["Sigma_CL"], got["Sigma_UL"]),
@@ -376,8 +452,7 @@ def test_summaries_equal_whole_array_reductions_bit_for_bit(monkeypatch):
         lo, hi = np.quantile(image, probs, axis=0)
         np.testing.assert_array_equal(summary[1], lo)
         np.testing.assert_array_equal(summary[2], hi)
-    with_basis = dataclasses.replace(draws, basis=basis)
-    np.testing.assert_array_equal(with_basis.grid_mu(), draws.mu @ basis.T)
+    np.testing.assert_array_equal(with_basis.grid_mu(), mu @ basis.T)
     # The diagonal is a weighted sum of the packed cells, so it agrees with
     # the unpacked images to rounding.
     np.testing.assert_allclose(

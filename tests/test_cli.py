@@ -270,6 +270,49 @@ def test_babf_smooth_passes_lambda_flags_to_the_estimates(tmp_path, dataset, mon
     assert eval_grid.size == 6
 
 
+def test_babf_default_evaluation_grid_is_capped_above_100_pooled_points(
+    tmp_path, monkeypatch, capsys
+):
+    data = tmp_path / "rdata.json"
+    rc = run(
+        "simulate", "--out", str(data), "--n", "6", "--p", "20", "--cgrid", "0",
+        "--rgrid", "1", "--seed", "2",
+    )
+    assert rc == 0
+    dataset, meta = io.load_dataset(data)
+    pooled = dataset.pooled_grid
+    assert pooled.size == 120 and cli.EVAL_GRID_CAP == 100
+
+    def fit(name):
+        out = tmp_path / name
+        capsys.readouterr()
+        rc = run(
+            "smooth", "--data", str(data), "--out", str(out), "--smethod", "babf",
+            "--m", "6", "--M", "30", "--Burnin", "10", "--ws", "1.0", "--no-draws",
+        )
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        payload.pop("runtime_seconds")
+        return payload, capsys.readouterr().out
+
+    capped, text = fit("capped.json")
+    np.testing.assert_array_equal(capped["grid"], np.linspace(*meta["domain"], 100))
+    assert len(capped["estimates"]["Sigma_cgrid"]) == 100
+    assert "evaluated on 100 equally spaced points" in text and "has 120 points" in text
+
+    # A pooled grid at the cap stays the default grid, with the bytes of a
+    # run without any cap; one point more is capped.
+    monkeypatch.setattr(cli, "EVAL_GRID_CAP", 120)
+    at_cap, text = fit("at_cap.json")
+    assert at_cap["grid"] == pooled.tolist() and "equally spaced" not in text
+    monkeypatch.setattr(cli, "EVAL_GRID_CAP", 10**9)
+    assert fit("uncapped.json")[0] == at_cap
+    monkeypatch.setattr(cli, "EVAL_GRID_CAP", 119)
+    over, text = fit("over.json")
+    np.testing.assert_array_equal(over["grid"], np.linspace(*meta["domain"], 119))
+    assert "evaluated on 119 equally spaced points" in text
+
+
 @pytest.mark.parametrize(
     "extra, names",
     [

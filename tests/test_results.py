@@ -1,7 +1,6 @@
 """Working memory of the posterior summaries and the monitored covariance
 diagonal."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,10 +14,11 @@ from gpcurve.results import Draws, summarize_draws, unpack_lower
 from gpcurve.stochastic import RngStream
 
 
-def random_draws(ndraws, n, K, seed=0):
-    """Draws of n curves' K coefficients with symmetric covariance draws."""
+def random_draws(ndraws, n, K, seed=0, *, order_stats=False, basis=None):
+    """Draws of n curves' K coefficients with symmetric covariance draws,
+    kept (through ``basis``) or as order statistics."""
     rng = np.random.default_rng(seed)
-    draws = Draws.allocate(n, K, [2] * n, ndraws, 0, 1)
+    draws = Draws.allocate(n, K, [2] * n, ndraws, 0, 1, order_stats=order_stats, basis=basis)
     for k in range(ndraws):
         a = rng.standard_normal((K, K))
         sigma = a @ a.T
@@ -34,13 +34,8 @@ def random_draws(ndraws, n, K, seed=0):
     return draws
 
 
-@pytest.mark.parametrize("with_basis", [False, True])
-def test_summaries_allocate_their_outputs_and_one_work_block(monkeypatch, with_basis):
-    ndraws, n, K, E = 200, 6, 10, 24
-    # Blocks of 64 cells: 100 KiB of draws.
-    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 64)
-    draws = random_draws(ndraws, n, K)
-    basis = np.random.default_rng(1).standard_normal((E, K)) if with_basis else None
+def summary_work_bytes(draws, basis):
+    """Peak bytes of ``summarize_draws(draws, basis)`` beyond its outputs."""
     summarize_draws(draws, basis)  # fills the packing index caches
     tracemalloc.start()  # numpy reports its buffers to tracemalloc
     try:
@@ -48,10 +43,30 @@ def test_summaries_allocate_their_outputs_and_one_work_block(monkeypatch, with_b
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    outputs = sum(v.nbytes for v in out.values())
+    return peak - sum(v.nbytes for v in out.values())
+
+
+@pytest.mark.parametrize("with_basis", [False, True])
+def test_summaries_allocate_their_outputs_and_one_work_block(monkeypatch, with_basis):
+    # Kept draws summarized through a basis (babf's grid summaries) or
+    # without one (its coefficient-space summaries).
+    ndraws, n, K, E = 200, 6, 10, 24
+    # Blocks of 64 cells: 100 KiB of draws.
+    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 64)
+    basis = np.random.default_rng(1).standard_normal((E, K)) if with_basis else None
+    draws = random_draws(ndraws, n, K, basis=basis)
     # One band work block, plus a few unpacked covariance draws and Python
     # objects within a quarter block.
-    assert peak - outputs <= results.CHUNK_BYTES * 5 // 4
+    assert summary_work_bytes(draws, basis) <= results.CHUNK_BYTES * 5 // 4
+
+
+def test_order_statistic_summaries_allocate_their_outputs_and_one_work_block(monkeypatch):
+    ndraws, n, K = 200, 6, 10
+    monkeypatch.setattr(results, "CHUNK_BYTES", 8 * ndraws * 64)
+    draws = random_draws(ndraws, n, K, order_stats=True)
+    # The mean's band block of 200 x 10 draws, a few rows of the 115 cells
+    # and Python objects within the same bound.
+    assert summary_work_bytes(draws, None) <= results.CHUNK_BYTES * 5 // 4
 
 
 def test_monitored_sigma_diagonal_equals_the_full_grid_columns():
@@ -67,21 +82,23 @@ def test_monitored_sigma_diagonal_equals_the_full_grid_columns():
     idx = monitored_indices(draws.basis.shape[0])
     assert idx == [10, 20, 29]
     got = draws.grid_sigma_diag(idx)
-    assert got.shape == (draws.coef.shape[0], 3)
+    assert got.shape == (draws.mu.shape[0], 3)
     sigma = unpack_lower(draws.Sigma)
     whole = np.sum((draws.basis @ sigma) * draws.basis, axis=2)
     np.testing.assert_allclose(got, whole[:, idx], rtol=1e-12, atol=0)
 
-    # Without a basis the monitored columns are the packed diagonal itself.
-    no_basis = dataclasses.replace(draws, basis=None)
+    # Draws with order statistics keep the diagonal, and the monitored
+    # columns are its columns.
+    ndraws, K = draws.mu.shape
+    no_basis = Draws.allocate(1, K, [1], ndraws, 0, 1, order_stats=True, summarize=False)
+    for k in range(ndraws):
+        no_basis.record(k, None, draws.mu[k], sigma[k], 1.0, 1.0, None)
     np.testing.assert_array_equal(no_basis.grid_sigma_diag([1, 5]), sigma[:, [1, 5], [1, 5]])
 
 
 def test_monitored_sigma_diagonal_unpacks_no_draw():
     ndraws, n, K, E = 2000, 2, 20, 40
-    draws = dataclasses.replace(
-        random_draws(ndraws, n, K), basis=np.random.default_rng(1).random((E, K))
-    )
+    draws = random_draws(ndraws, n, K, basis=np.random.default_rng(1).random((E, K)))
     idx = monitored_indices(E)
     tracemalloc.start()
     try:
