@@ -41,7 +41,7 @@ from gpcurve.datagen import FunctionalDataset
 from gpcurve.diagnostics import pdm_pvalues  # noqa: F401  (wrapped by bench/layers.py)
 from gpcurve.empirical import NOISE_FLOOR, EmpiricalEstimates, HyperParams, build_hyperparams, empirical_estimates
 from gpcurve.gridutil import check_grid
-from gpcurve.results import Draws, SmoothResult, credible_band, summarize_draws
+from gpcurve.results import Draws, SmoothResult, row_bands, summarize_draws
 from gpcurve.stochastic import RngStream, SpdMatrix
 from gpcurve.stochastic import sample_inverse_wishart  # noqa: F401  (wrapped by bench/layers.py)
 
@@ -92,12 +92,12 @@ class BabfContext(Design):
         and the knots.  Basis rows at any points follow from ``knots``
         (:func:`~gpcurve.bsplines.eval_basis`), so none are kept."""
         coef = summarize_draws(draws)
-        zt_bands = [credible_band(draws.coef[:, i : i + 1], right=b) for i, b in enumerate(self.bt)]
+        zt_bands = row_bands(draws.coef, self.bt)
         return dict(
             tau=self.tau,
             Zt=[b @ z for b, z in zip(self.bt, coef["Z"])],
-            Zt_CL=[lo[0] for lo, _ in zt_bands],
-            Zt_UL=[hi[0] for _, hi in zt_bands],
+            Zt_CL=[lo for lo, _ in zt_bands],
+            Zt_UL=[hi for _, hi in zt_bands],
             Zeta=coef["Z"],
             Zeta_CL=coef["Z_CL"],
             Zeta_UL=coef["Z_UL"],

@@ -276,9 +276,8 @@ def cmd_smooth(args) -> int:
                 "names": list(monitored),
             }
             if chain == 0:
-                resid = np.concatenate(draws.resid, axis=1)
                 sidecar[f"residuals_chain{chain}.bin"] = {
-                    "matrix": resid,
+                    "matrix": draws.resid_matrix,
                     "curve_points": [r.shape[1] for r in draws.resid],
                 }
         if chain == 0:

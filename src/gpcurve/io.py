@@ -141,13 +141,16 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, write, *, text: bool = False) -> None:
+    """Write a file through ``write(handle)``, a text handle with ``text``,
+    into a temporary file in the same directory, then rename it."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
+            mode = dict(mode="w", encoding="utf-8", newline="") if text else dict(mode="wb")
+            with os.fdopen(fd, **mode) as handle:
+                write(handle)
                 # mkstemp creates 0600; give the file the mode a plain open would.
                 os.fchmod(handle.fileno(), 0o666 & ~_umask())
             os.replace(tmp, path)
@@ -161,16 +164,32 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    _atomic_write_bytes(Path(path), (json.dumps(payload, indent=1) + "\n").encode())
+    """``json.dumps(payload, indent=1)`` and a newline, streamed to the file
+    without building the string."""
+
+    def write(handle):
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+
+    _atomic_write(path, write, text=True)
 
 
 def write_matrix(path, mat: np.ndarray) -> None:
-    """Write a 2-d float64 matrix: 16-byte header, row-major little-endian."""
+    """Write a 2-d float64 matrix: 16-byte header, row-major little-endian.
+
+    The header and then the matrix's own buffer are written, so a
+    C-contiguous little-endian float64 matrix is not copied.
+    """
     mat = np.ascontiguousarray(np.asarray(mat, dtype="<f8"))
     if mat.ndim != 2:
         raise ValueError("write_matrix expects a 2-d array")
     header = MATRIX_MAGIC + struct.pack("<II", mat.shape[0], mat.shape[1])
-    _atomic_write_bytes(Path(path), header + mat.tobytes())
+
+    def write(handle):
+        handle.write(header)
+        handle.write(mat)
+
+    _atomic_write(path, write)
 
 
 def read_matrix(path) -> np.ndarray:

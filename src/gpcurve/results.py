@@ -16,6 +16,7 @@ __all__ = [
     "credible_band",
     "physical_memory_bytes",
     "retained_bytes",
+    "row_bands",
     "scalar_summary",
     "summarize_draws",
     "unpack_lower",
@@ -23,8 +24,9 @@ __all__ = [
 
 BAND_PROBS = (0.025, 0.975)
 
-# Working memory for one block of draws: the band work buffer.
-CHUNK_BYTES = 1 << 24
+# Bytes of the band block: every draw of as many band cells as fit, one row
+# of draws per cell (at least one cell), reused by every band of a summary.
+CHUNK_BYTES = 1 << 21
 
 
 @lru_cache(maxsize=32)
@@ -172,8 +174,11 @@ class Draws:
 
     Without summaries (``allocate(..., summarize=False)``) a chain keeps
     only what its monitored scalars read: no coefficients, residuals or
-    order statistics.  ``resid`` holds the thinned standardized residuals
-    of each curve, or nothing.
+    order statistics.  Otherwise ``resid_matrix`` holds the thinned
+    standardized residuals, one row per kept sweep and each curve's points
+    side by side, (ndraws // resid_thin, sum of the curve sizes), and
+    ``resid`` is each curve's block of its columns, a view; without
+    summaries ``resid`` is empty.
     """
 
     mu: np.ndarray
@@ -186,6 +191,7 @@ class Draws:
     coef: np.ndarray | None = None
     Sigma: np.ndarray | None = None
     Sigma_diag: np.ndarray | None = None
+    resid_matrix: np.ndarray | None = None
     resid: list[np.ndarray] = field(default_factory=list)
     cell_sums: np.ndarray | None = None
     extremes: np.ndarray | None = None
@@ -228,7 +234,9 @@ class Draws:
         else:
             draws.Sigma = np.empty((ndraws, packed))
         if summarize:
-            draws.resid = [np.empty((ndraws // resid_thin, m)) for m in curve_sizes]
+            draws.resid_matrix = np.empty((ndraws // resid_thin, sum(curve_sizes)))
+            ends = np.cumsum(curve_sizes)
+            draws.resid = np.hsplit(draws.resid_matrix, ends[:-1])
             if order_stats:
                 draws.cell_sums = np.zeros(n * K + packed)
                 draws.extremes = np.empty((_extreme_rows(ndraws), n * K + packed))
@@ -313,99 +321,169 @@ class Draws:
         return self.Sigma @ weights.T
 
 
-def _block_shape(ndraws: int, R: int, C: int, inner: int) -> tuple[int, int]:
-    """Rows and columns of one block of band cells, about CHUNK_BYTES of
-    image draws."""
-    cells = max(1, CHUNK_BYTES // (8 * ndraws))
-    cols = min(C, cells)
-    # A row of the operand (the draws, or a left image of them) holds
-    # ``inner`` cells per draw.
-    rows = min(R, max(1, cells // max(cols, inner)))
-    return rows, cols
+def _band_block(ndraws: int, cells: int) -> np.ndarray:
+    """The block that every band of one summary fills in turn: one whole
+    row of draws per cell, (cells, ndraws), for at most ``cells`` cells and
+    at most :data:`CHUNK_BYTES` (one cell at least)."""
+    return np.empty((min(cells, max(1, CHUNK_BYTES // (8 * ndraws))), ndraws))
 
 
-def _band_work(ndraws: int, cells: int) -> np.ndarray:
-    """One band work buffer: room for the largest block of a band over at
-    most ``cells`` cells."""
-    return np.empty(ndraws * min(cells, max(1, CHUNK_BYTES // (8 * ndraws))))
+def _draw_slices(ndraws: int, width: int):
+    """Slices of the draws, each of images that take about an eighth of
+    :data:`CHUNK_BYTES` at ``width`` values per draw, and of at least two
+    draws when there are two: a product over one draw is a vector-matrix
+    product, rounded differently."""
+    step = max(2, CHUNK_BYTES // (64 * width))
+    for d in range(0, ndraws, step):
+        stop = d + step if ndraws - d - step != 1 else ndraws
+        yield slice(d, stop)
+        if stop == ndraws:
+            return
 
 
-def _block(work: np.ndarray, ndraws: int, rows: int, cols: int) -> np.ndarray:
-    return work[: ndraws * rows * cols].reshape(ndraws, rows, cols)
+def _tile_shape(R: int, C: int, cap: int, max_rows: int) -> tuple[int, int]:
+    """Rows and columns of the tiles of R x C cells of at most ``cap`` cells
+    and ``max_rows`` rows: whole rows when one fits, else parts of one row."""
+    if C <= cap:
+        return max(1, min(R, cap // C, max_rows)), C
+    return 1, cap
 
 
-def _band_of_block(block: np.ndarray):
-    # The block is a fresh copy, so the quantile may reorder it in place.
-    return np.quantile(block, BAND_PROBS, axis=0, overwrite_input=True)
+def _two_columns(cs: slice, C: int) -> tuple[slice, slice]:
+    """``cs`` widened to two columns when it holds one of two or more, and
+    the part of the widened columns that ``cs`` is."""
+    if cs.stop - cs.start > 1 or C < 2:
+        return cs, slice(None)
+    start = min(cs.start, C - 2)
+    return slice(start, start + 2), slice(cs.start - start, cs.start - start + 1)
 
 
-def credible_band(draws: np.ndarray, right=None, work=None):
-    """Pointwise 95% credible band of the draws ``draws[k] @ right.T``.
+def _products(left: np.ndarray, right: np.ndarray, rs: slice, cs: slice, rows: np.ndarray) -> None:
+    """Write the images ``left[k] @ right.T`` of rows ``rs`` and columns
+    ``cs`` into ``rows``, one row of draws per cell, a few draws at a time.
 
-    ``draws`` is (ndraws, R, C); ``None`` for ``right`` is the identity.
-    The image draws are formed block by block in ``work``, a flat buffer
-    of about :data:`CHUNK_BYTES` (allocated when not given), so no more
-    than one block of them exists at once.
+    Every element is the one the whole-array product ``left @ right.T``
+    gives.  That product forms each image as one matrix product, whose
+    elements do not depend on how its rows and columns are split, so each
+    row's images are one product over the draws, of at least two columns
+    and two draws.  An image of one row or one column is a vector-matrix or
+    matrix-vector product instead, whose elements depend on their
+    position, so such images are formed whole, draw by draw.
     """
-    ndraws, R, inner = draws.shape
-    C = inner if right is None else right.shape[0]
-    rows, cols = _block_shape(ndraws, R, C, inner)
-    if work is None:
-        work = np.empty(ndraws * rows * cols)
+    ndraws, R, _ = left.shape
+    C = right.shape[0]
+    nc = cs.stop - cs.start
+    if R == 1 or C == 1 or ndraws == 1:
+        for ds in _draw_slices(ndraws, R * C):
+            image = np.matmul(left[ds], right.T)
+            for j in range(rs.stop - rs.start):
+                rows[j * nc : (j + 1) * nc, ds] = image[:, rs.start + j, cs].T
+            # Free this chunk before the next one is formed.
+            del image
+        return
+    cols, keep = _two_columns(cs, C)
+    for ds in _draw_slices(ndraws, cols.stop - cols.start):
+        for j in range(rs.stop - rs.start):
+            rows[j * nc : (j + 1) * nc, ds] = (left[ds, rs.start + j] @ right[cols].T)[:, keep].T
+
+
+def _image_band(block: np.ndarray, R: int, C: int, fill, max_rows: int | None = None):
+    """Pointwise 95% band (R, C) of image cells, tile by tile, row by row
+    (:func:`_tile_shape`): ``fill(rs, cs, rows)`` writes the draws of the
+    tile of rows ``rs`` and columns ``cs`` into ``rows``, a part of
+    ``block``, one row per cell, as :func:`_products` does.  Each cell's
+    band comes from its order statistics (:func:`_quantile_of_extremes`),
+    bit for bit ``np.quantile`` of its draws."""
+    cap, ndraws = block.shape
+    tile_rows, tile_cols = _tile_shape(R, C, cap, max_rows or R)
     lo, hi = np.empty((R, C)), np.empty((R, C))
-    for r in range(0, R, rows):
-        rs = slice(r, r + rows)
-        part = draws[:, rs]
-        for c in range(0, C, cols):
-            cs = slice(c, c + cols)
-            block = _block(work, ndraws, part.shape[1], min(cols, C - c))
-            if right is None:
-                np.copyto(block, part[:, :, cs])
-            else:
-                np.matmul(part, right[cs].T, out=block)
-            lo[rs, cs], hi[rs, cs] = _band_of_block(block)
+    for r in range(0, R, tile_rows):
+        for c in range(0, C, tile_cols):
+            rs, cs = slice(r, min(r + tile_rows, R)), slice(c, min(c + tile_cols, C))
+            nc = cs.stop - cs.start
+            rows = block[: (rs.stop - rs.start) * nc]
+            fill(rs, cs, rows)
+            lo[rs, cs], hi[rs, cs] = (
+                _quantile_of_extremes(rows.T, ndraws, q).reshape(-1, nc) for q in BAND_PROBS
+            )
     return lo, hi
 
 
-def _sigma_band(packed: np.ndarray, basis, work):
+def credible_band(draws: np.ndarray, right=None, block=None):
+    """Pointwise 95% credible band of the draws ``draws[k] @ right.T``.
+
+    ``draws`` is (ndraws, R, C); ``None`` for ``right`` is the identity.
+    The band runs tile by tile through ``block``, every draw of at most
+    :data:`CHUNK_BYTES` of cells, one row per cell (allocated when not
+    given).  The images are formed a few draws at a time
+    (:func:`_products`), so neither they nor a draws-first copy of them
+    exist whole.  Each cell is bit for bit ``np.quantile`` of the images
+    that the whole-array product gives.
+    """
+    ndraws, R, inner = draws.shape
+    C = inner if right is None else right.shape[0]
+    if block is None:
+        block = _band_block(ndraws, R * C)
+    if right is not None:
+        return _image_band(block, R, C, lambda rs, cs, rows: _products(draws, right, rs, cs, rows))
+
+    def copy(rs, cs, rows):
+        nc = cs.stop - cs.start
+        for j in range(rs.stop - rs.start):
+            rows[j * nc : (j + 1) * nc] = draws[:, rs.start + j, cs].T
+
+    return _image_band(block, R, C, copy)
+
+
+def row_bands(draws: np.ndarray, rights) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pointwise 95% bands of each row of ``draws`` (ndraws, R, K) through
+    its own matrix, row i's draws ``draws[k, i] @ rights[i].T``, as
+    :func:`credible_band` gives them, all through one block."""
+    block = _band_block(draws.shape[0], max(r.shape[0] for r in rights))
+    bands = []
+    for i, right in enumerate(rights):
+        lo, hi = credible_band(draws[:, i : i + 1], right=right, block=block)
+        bands.append((lo[0], hi[0]))
+    return bands
+
+
+def _sigma_band(packed: np.ndarray, basis, block: np.ndarray):
     """Pointwise 95% band of the covariance draws ``B Sigma_k B^T`` from
     their packed lower triangles; ``None`` for ``basis`` is the identity.
 
     Without a basis the band runs over the packed cells and is mirrored.
-    With one, each row block's images ``B[rows] Sigma_k`` come from a few
-    unpacked draws at a time, so the full K x K draws never exist together.
+    With one, each image is ``(B Sigma_k) B^T``: the left images
+    ``B Sigma_k`` of a group of at least two rows (one row's is a
+    vector-matrix product, rounded differently) are kept for every draw
+    while the tiles of those rows are formed, and they come from a few
+    unpacked draws at a time, so the K x K draws never exist together.
+    Tiles hold at most ``cap // K`` rows, so the kept left images take no
+    more than the block, or two rows.
     """
     if basis is None:
-        lo, hi = credible_band(packed[:, None, :], work=work)
+        lo, hi = credible_band(packed[:, None, :], block=block)
         return unpack_lower(lo[0]), unpack_lower(hi[0])
     ndraws = packed.shape[0]
     E, K = basis.shape
-    rows, cols = _block_shape(ndraws, E, E, K)
-    # Draws unpacked at once: a sixteenth of a block.
-    step = max(1, CHUNK_BYTES // (16 * 8 * K * K))
+    max_rows = max(1, block.shape[0] // K)
+    tile_rows, _ = _tile_shape(E, E, block.shape[0], max_rows)
+    buffer = np.empty(ndraws * max(min(2, E), tile_rows) * K)
+    held, left = None, None
 
-    def left_images(rs):
-        for d in range(0, ndraws, step):
-            yield slice(d, d + step), basis[rs] @ unpack_lower(packed[d : d + step])
+    def fill(rs, cs, rows):
+        nonlocal held, left
+        group = rs
+        if rs.stop - rs.start < min(2, E):
+            start = min(rs.start - rs.start % 2, E - 2)
+            group = slice(start, start + 2)
+        if held != (group.start, group.stop):
+            left = buffer[: ndraws * (group.stop - group.start) * K].reshape(ndraws, -1, K)
+            for ds in _draw_slices(ndraws, K * K):
+                np.matmul(basis[group], unpack_lower(packed[ds]), out=left[ds])
+            held = (group.start, group.stop)
+        _products(left, basis, slice(rs.start - group.start, rs.stop - group.start), cs, rows)
 
-    lo, hi = np.empty((E, E)), np.empty((E, E))
-    for r in range(0, E, rows):
-        rs = slice(r, r + rows)
-        nrows = min(rows, E - r)
-        images = left_images(rs)
-        if cols < E:
-            # Every column block reuses this row block's left images.
-            part = np.empty((ndraws, nrows, K))
-            for ds, image in images:
-                part[ds] = image
-            images = [(slice(None), part)]
-        for c in range(0, E, cols):
-            cs = slice(c, c + cols)
-            block = _block(work, ndraws, nrows, min(cols, E - c))
-            for ds, image in images:
-                np.matmul(image, basis[cs].T, out=block[ds])
-            lo[rs, cs], hi[rs, cs] = _band_of_block(block)
-    return lo, hi
+    return _image_band(block, E, E, fill, max_rows)
 
 
 def _quantile_of_extremes(kept: np.ndarray, ndraws: int, q: float) -> np.ndarray:
@@ -466,8 +544,8 @@ def summarize_draws(draws: Draws, basis=None) -> dict[str, np.ndarray]:
     draws.  Draws that keep their coefficients give every band from the
     draws.  With ``basis`` (E x K) these summarize the grid-space draws
     B zeta, B mu and B Sigma B^T: means exactly as B times the coefficient
-    means, bands from the image draws in blocks.  Every band shares one
-    work buffer of about :data:`CHUNK_BYTES`.
+    means, bands from the image draws tile by tile.  Every band fills one
+    block of at most :data:`CHUNK_BYTES` in turn (:func:`credible_band`).
     """
     ndraws, K = draws.mu.shape
     mu = draws.mu.mean(axis=0)
@@ -487,10 +565,10 @@ def summarize_draws(draws: Draws, basis=None) -> dict[str, np.ndarray]:
             z = z @ basis.T
             mu = basis @ mu
             sigma = basis @ sigma @ basis.T
-        work = _band_work(ndraws, max(n, E) * E)
-        z_cl, z_ul = credible_band(draws.coef, right=basis, work=work)
-        mu_cl, mu_ul = credible_band(draws.mu[:, None, :], right=basis, work=work)
-        sigma_cl, sigma_ul = _sigma_band(draws.Sigma, basis, work)
+        block = _band_block(ndraws, max(n, E) * E)
+        z_cl, z_ul = credible_band(draws.coef, right=basis, block=block)
+        mu_cl, mu_ul = credible_band(draws.mu[:, None, :], right=basis, block=block)
+        sigma_cl, sigma_ul = _sigma_band(draws.Sigma, basis, block)
     dev = z - z.mean(axis=0)
     return dict(
         Z=z,

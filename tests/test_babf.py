@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from gpcurve.bhm import (
 )
 from gpcurve.bsplines import BSplineBasis, WorkingGrid, build_basis, eval_basis, select_working_grid
 from gpcurve.datagen import Curve, FunctionalDataset, SimConfig, sim_gfd, sim_gfd_rgrid
+from gpcurve.diagnostics import pdm_pvalues
 from gpcurve.empirical import HyperParams, build_hyperparams, empirical_estimates
+from gpcurve.io import MATRIX_MAGIC, write_matrix
 from gpcurve.kernels import CovarianceModel
 from gpcurve.results import retained_bytes, unpack_lower
 from gpcurve.stochastic import (
@@ -324,8 +327,11 @@ def test_run_shapes_determinism_and_reconstruction():
 
 
 def _draw_arrays(draws):
-    """(field name, array) for every array the draws container keeps."""
+    """(field name, array) for every array the draws container keeps; the
+    per-curve residuals are views of ``resid_matrix``, counted there."""
     for f in dataclasses.fields(draws):
+        if f.name == "resid":
+            continue
         value = getattr(draws, f.name)
         for a in value if isinstance(value, list) else [value]:
             if isinstance(a, np.ndarray):
@@ -376,6 +382,32 @@ def test_memory_guard_estimate_is_what_the_draws_keep(method):
 
 
 @pytest.mark.parametrize("method", ["babf", "bhm"])
+def test_residuals_are_column_views_of_one_matrix(tmp_path, method):
+    data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
+    common = dict(M=60, burnin=20, rng=RngStream(3), resid_thin=4)
+    if method == "babf":
+        draws, res = babf_run(data, L=6, domain=DOMAIN, hyper_kwargs={"ws": 1.0}, **common)
+    else:
+        draws, res = bhm_run(data, build_hyperparams(empirical_estimates(data)), **common)
+    sizes = [c.grid.size for c in data.curves]
+    matrix = draws.resid_matrix
+    assert matrix.shape == (10, sum(sizes))
+    ends = np.cumsum([0, *sizes])
+    for r, start, stop in zip(draws.resid, ends[:-1], ends[1:]):
+        assert np.shares_memory(r, matrix)
+        np.testing.assert_array_equal(r, matrix[:, start:stop])
+    # Written as the residual sidecar, the matrix has the bytes of separate
+    # per-curve arrays side by side, and the fit p-values read its views as
+    # they read separate arrays.
+    separate = [np.array(r) for r in draws.resid]
+    path = tmp_path / "residuals.bin"
+    write_matrix(path, matrix)
+    header = MATRIX_MAGIC + struct.pack("<II", *matrix.shape)
+    assert path.read_bytes() == header + np.concatenate(separate, axis=1).tobytes()
+    np.testing.assert_array_equal(res.pmin_vec, pdm_pvalues(separate))
+
+
+@pytest.mark.parametrize("method", ["babf", "bhm"])
 def test_a_chain_without_summaries_keeps_only_its_monitored_draws(method):
     data = sim_gfd_rgrid(SimConfig(n=5, p=15, seed=6))
     common = dict(M=50, burnin=20, rng=RngStream(3), summarize=False)
@@ -400,7 +432,10 @@ def test_default_pooled_eval_grid_keeps_only_the_basis_on_its_axis():
     )
     assert res.Z.shape == (30, E)
     with_e_axis = {name for name, a in _draw_arrays(draws) if E in a.shape}
-    assert with_e_axis == {"basis"}
+    # The residual matrix has a column per observation, 30 x 40 of them, as
+    # many as the pooled grid has points.
+    assert draws.resid_matrix.shape[1] == sum(c.grid.size for c in data.curves) == E
+    assert with_e_axis - {"resid_matrix"} == {"basis"}
     assert draws.basis.shape == (E, 20)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from gpcurve import cli, io, results
 from gpcurve.bsplines import BSplineBasis, eval_basis
+from gpcurve.diagnostics import pdm_pvalues
 
 
 def run(*argv) -> int:
@@ -59,6 +60,18 @@ def test_smooth_writes_results_and_sidecar(bhm_results, capsys):
     }
     draws_dir = bhm_results.with_name(bhm_results.stem + ".draws")
     assert sorted(p.name for p in draws_dir.iterdir()) == sorted(files)
+
+
+def test_residual_sidecar_gives_the_runs_fit_pvalues(bhm_results):
+    # The sidecar is the residual matrix the run kept, each curve's points
+    # side by side: split by curve, it gives the run's p-values bit for bit.
+    payload = io.load_results(bhm_results)
+    matrix = io.load_sidecar_matrix(payload, "residuals_chain0.bin")
+    points = payload["draws"]["files"]["residuals_chain0.bin"]["curve_points"]
+    # 60 kept sweeps, every fourth.
+    assert matrix.shape == (15, sum(points))
+    per_curve = np.hsplit(matrix, np.cumsum(points)[:-1])
+    np.testing.assert_array_equal(pdm_pvalues(per_curve), io.estimate(payload, "pmin_vec"))
 
 
 def test_smooth_no_draws(tmp_path, dataset, capsys):

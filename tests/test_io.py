@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from gpcurve.bhm import bhm_run
 from gpcurve.datagen import SimConfig, sim_gfd
 from gpcurve.empirical import build_hyperparams, empirical_estimates
+from gpcurve import io
 from gpcurve.io import (
     ESTIMATE_KEYS,
+    MATRIX_MAGIC,
     RunConfig,
     UnsupportedFeatureError,
     curve_fits,
@@ -144,6 +148,44 @@ def test_dataset_requires_domain(tmp_path, small_data):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="domain"):
         load_dataset(path)
+
+
+def test_writers_stream_the_bytes_of_dumps_and_tobytes(tmp_path, small_data):
+    payload = {
+        "a": [1.5, 0.1, 2e-300, float("nan"), -0.0],
+        "b": {"\u00e9": None, "c": [[1, 2], []]},
+    }
+    io._atomic_write_json(tmp_path / "p.json", payload)
+    assert (tmp_path / "p.json").read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+    path = tmp_path / "d.json"
+    save_dataset(path, small_data, domain=(0.0, 1.6))
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+    rng = np.random.default_rng(0)
+    for mat in (
+        rng.normal(size=(7, 3)),
+        rng.normal(size=(3, 7)).T,
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+        np.empty((0, 4)),
+    ):
+        write_matrix(tmp_path / "m.bin", mat)
+        want = np.ascontiguousarray(mat, dtype="<f8")
+        header = MATRIX_MAGIC + struct.pack("<II", *want.shape)
+        assert (tmp_path / "m.bin").read_bytes() == header + want.tobytes()
+
+
+def test_writing_a_matrix_makes_no_copy_of_it(tmp_path):
+    mat = np.random.default_rng(0).normal(size=(512, 1024))
+    assert mat.nbytes == 4 << 20
+    write_matrix(tmp_path / "warm.bin", mat)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        write_matrix(tmp_path / "m.bin", mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, small_data):
