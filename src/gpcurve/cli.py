@@ -52,9 +52,9 @@ from gpcurve.stochastic import FactorizationError, RngStream
 # grid flag, a larger pooled grid gives way to this many equally spaced points.
 EVAL_GRID_CAP = 100
 
-# Names whose modules pull in the samplers, the regression protocol and
-# scipy.sparse, mapped to those modules.  They are imported on first attribute
-# access (PEP 562), so `simulate` and `diagnose` start without them.
+# Names whose modules pull in the samplers, the spline smoother and the
+# regression protocol, mapped to those modules.  They are imported on first
+# attribute access (PEP 562), so `simulate` and `diagnose` start without them.
 # Commands look every callee up by name at the call (`_cli.<name>`), which
 # keeps them patchable by name like the eagerly imported callees.
 _DEFERRED = {

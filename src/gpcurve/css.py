@@ -4,7 +4,14 @@
 ``lamb * sum (y_i - f(t_i))^2 + (1 - lamb) * integral f''(u)^2 du``,
 so ``lamb -> 1`` approaches natural-spline interpolation and ``lamb -> 0``
 approaches the least-squares line.  The solve is the banded Reinsch
-algorithm, O(n) in the number of grid points.
+algorithm (Reinsch 1967), O(n) in the number of grid points.
+
+The operators are kept as band arrays and go straight to LAPACK's banded
+routines (:func:`gpcurve.stochastic._lapack`).  Their products add up in the
+order scipy's sparse kernels would, and each routine gets the arguments and
+checks scipy.linalg's banded solvers give it, so the fits are the ones a
+``scipy.sparse``/``scipy.linalg`` formulation computes, bit for bit, without
+loading either package.
 """
 
 from __future__ import annotations
@@ -12,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import sparse
 
 from gpcurve.gridutil import check_grid, default_lambda_grid
+from gpcurve.stochastic import _check_finite, _lapack, _lapack_info
 
 __all__ = [
     "NaturalCubic",
@@ -55,20 +61,24 @@ class NaturalCubic:
         dx = np.diff(grid)
         slope = np.diff(values) / dx
         n = grid.size
-        ab = np.zeros((3, n))
-        ab[0, 2:] = dx[:-1]
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[-1, :-2] = dx[1:]
+        # The three diagonals scipy's solve_banded hands to LAPACK gtsv.
+        sub = np.empty(n - 1)
+        sub[:-1], sub[-1] = dx[1:], dx[-1]
+        diag = np.empty(n)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        diag[0], diag[-1] = 2 * dx[0], 2 * dx[-1]
+        sup = np.empty(n - 1)
+        sup[0], sup[1:] = dx[0], dx[:-1]
         b = np.empty(n)
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         d2 = 0.0  # the natural end condition
-        ab[1, 0], ab[0, 1] = 2 * dx[0], dx[0]
         b[0] = -0.5 * d2 * dx[0] ** 2 + 3 * (values[1] - values[0])
-        ab[1, -1], ab[-1, -2] = 2 * dx[-1], dx[-1]
         b[-1] = 0.5 * d2 * dx[-1] ** 2 + 3 * (values[-1] - values[-2])
-        s = sla.solve_banded(
-            (1, 1), ab, b[:, None], overwrite_ab=True, overwrite_b=True, check_finite=False
-        )[:, 0]
+        *_, s, info = _lapack().gtsv(sub, diag, sup, b[:, None], 1, 1, 1, 1)
+        _lapack_info(info, "gtsv")
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
+        s = s[:, 0]
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.breaks = grid
         # Power-basis coefficients per interval, highest degree first.
@@ -114,30 +124,59 @@ class SplineFit:
 
 
 def _spline_system(grid: np.ndarray):
-    """Second-difference operator Q (n x (n-2)) and roughness Gram R."""
+    """Bands of the second-difference operator Q (n x (n-2)) and of the
+    roughness Gram R ((n-2) x (n-2), symmetric tridiagonal).
+
+    Column j of Q holds ``q[0, j]``, ``q[1, j]`` and ``q[2, j]`` in rows
+    j, j+1 and j+2.  ``r[0]`` is R's diagonal and ``r[1, :-1]`` its
+    subdiagonal.
+    """
     h = np.diff(grid)
-    n = grid.size
-    q = sparse.diags_array(
-        [1.0 / h[:-1], -(1.0 / h[:-1] + 1.0 / h[1:]), 1.0 / h[1:]],
-        offsets=[0, -1, -2],
-        shape=(n, n - 2),
-    ).tocsc()
-    r = sparse.diags_array(
-        [h[1:-1] / 6.0, (h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0],
-        offsets=[-1, 0, 1],
-        shape=(n - 2, n - 2),
-    ).tocsc()
+    q = np.stack([1.0 / h[:-1], -(1.0 / h[:-1] + 1.0 / h[1:]), 1.0 / h[1:]])
+    r = np.zeros((2, grid.size - 2))
+    r[0] = (h[:-1] + h[1:]) / 3.0
+    r[1, :-1] = h[1:-1] / 6.0
     return q, r
 
 
-def _banded_lower(mat: sparse.csc_matrix, bandwidth: int = 2) -> np.ndarray:
-    """Lower-banded storage of a symmetric banded sparse matrix."""
-    dim = mat.shape[0]
-    ab = np.zeros((bandwidth + 1, dim))
-    ab[0] = mat.diagonal(0)
-    for k in range(1, bandwidth + 1):
-        ab[k, : dim - k] = mat.diagonal(-k)
-    return ab
+# The products below start from zero and add Q's entries in ascending row
+# order, as scipy's sparse kernels do, so that even signed zeros agree.
+
+
+def _gram(q: np.ndarray) -> np.ndarray:
+    """Lower bands of the pentadiagonal Q^T Q: row k holds the entries
+    (j + k, j) in column j."""
+    a, b, c = q
+    qtq = np.zeros_like(q)
+    qtq[0] = 0.0 + a * a + b * b + c * c
+    qtq[1, :-1] = 0.0 + b[:-1] * a[1:] + c[:-1] * b[1:]
+    qtq[2, :-2] = 0.0 + c[:-2] * a[2:]
+    return qtq
+
+
+def _q_transpose_times(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q^T y."""
+    return 0.0 + q[0] * y[:-2] + q[1] * y[1:-1] + q[2] * y[2:]
+
+
+def _q_times(q: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Q gamma: row j adds the products of columns j-2, j-1 and j."""
+    out = np.zeros(gamma.size + 2)
+    out[2:] += q[2] * gamma
+    out[1:-1] += q[1] * gamma
+    out[:-2] += q[0] * gamma
+    return out
+
+
+def _pbtrs(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with M's lower banded Cholesky factor, checked as
+    ``scipy.linalg.cho_solve_banded`` checks."""
+    _check_finite(factor, rhs)
+    x, info = _lapack().pbtrs(factor, rhs, lower=1)
+    _lapack_info(info, "pbtrs")
+    if info:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return x
 
 
 def _validate_inputs(grid, values, lamb):
@@ -158,30 +197,43 @@ def css_fit(grid, values, lamb: float) -> SplineFit:
     """Fit a cubic smoothing spline at interpolation weight ``lamb``."""
     grid, values = _validate_inputs(grid, values, lamb)
     q, r = _spline_system(grid)
-    fitted, _ = _penalized_solve(values, (1.0 - lamb) / lamb, q, r, (q.T @ q).tocsc())
+    fitted, _ = _penalized_solve(values, (1.0 - lamb) / lamb, q, r, _gram(q))
     return SplineFit(grid=grid, values=values, fitted=fitted, lamb=float(lamb))
 
 
 def _penalized_solve(values, alpha: float, q, r, qtq):
     """Fitted values ``values - alpha Q M^-1 Q^T values`` with
     ``M = R + alpha Q^T Q``, and M's lower banded Cholesky factor."""
-    factor = sla.cholesky_banded(_banded_lower(r + alpha * qtq), lower=True)
-    gamma = sla.cho_solve_banded((factor, True), q.T @ values)
-    return values - alpha * (q @ gamma), factor
+    m = alpha * qtq
+    m[:2] = r + m[:2]
+    _check_finite(m)
+    factor, info = _lapack().pbtrf(m, lower=1, overwrite_ab=1)
+    _lapack_info(info, "pbtrf")
+    if info:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    gamma = _pbtrs(factor, _q_transpose_times(q, values))
+    return values - alpha * _q_times(q, gamma), factor
 
 
 def _smoother_trace(n: int, alpha: float, factor, qtq) -> float:
     """Trace of the smoother matrix: ``n - alpha * tr(M^-1 Q^T Q)``.
 
-    Solved column-by-column through M's banded Cholesky factor, chunked so
-    memory stays O(n * chunk) even on dense grids.
+    Solved for Q^T Q's columns, formed from its bands a chunk at a time,
+    so memory stays O(n * chunk) even on dense grids.
     """
-    dim = qtq.shape[0]
+    dim = qtq.shape[1]
     trace_mb = 0.0
     for start in range(0, dim, _TRACE_CHUNK):
         stop = min(start + _TRACE_CHUNK, dim)
-        cols = qtq[:, start:stop].toarray()
-        sol = sla.cho_solve_banded((factor, True), cols)
+        cols = np.zeros((dim, stop - start), order="F")
+        for k in range(3):
+            # Column j holds (j + k, j) below the diagonal and, mirrored,
+            # (j - k, j) above it.
+            j = np.arange(start, min(stop, dim - k))
+            cols[j + k, j - start] = qtq[k, j]
+            j = np.arange(max(start, k), stop)
+            cols[j - k, j - start] = qtq[k, j - k]
+        sol = _pbtrs(factor, cols)
         trace_mb += float(np.sum(sol[np.arange(start, stop), np.arange(stop - start)]))
     return n - alpha * trace_mb
 
@@ -200,7 +252,7 @@ def css_gcv(grid, values, candidates=None) -> tuple[SplineFit, float]:
         raise ValueError("need at least one candidate lambda")
     grid, values = _validate_inputs(grid, values, float(candidates[0]))
     q, r = _spline_system(grid)
-    qtq = (q.T @ q).tocsc()
+    qtq = _gram(q)
     n = grid.size
 
     best_fit = None

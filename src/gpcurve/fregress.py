@@ -4,13 +4,12 @@ Two response types share one machinery: a scalar response regressed on
 the integral of the covariate curve against a coefficient function, and a
 concurrent functional response regressed pointwise on the covariate.
 Coefficient functions live in a cubic spline basis with a curvature
-penalty of a given weight; :func:`cross_validate` scores candidate weights
-by leaving one curve out.
+penalty of a given weight.
 
 A :class:`RegressionDesign` holds every curve's rows of the linear model,
 built once per set of covariate curves.  A curve's rows do not depend on
-which other curves are fitted with it, so fits, predictions, cross
-validation and bands all select rows from one design.
+which other curves are fitted with it, so fits and predictions select rows
+from one design.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from gpcurve.bsplines import curvature_penalty, eval_basis, uniform_basis
 from gpcurve.gridutil import check_grid
@@ -27,13 +25,11 @@ __all__ = [
     "RegressionDesign",
     "RegressionFit",
     "concurrent_design",
-    "cross_validate",
     "default_lambda_grid",
     "fit_concurrent",
     "fit_scalar_on_function",
     "predict",
     "scalar_design",
-    "stderr_bands",
     "trapezoid_weights",
 ]
 
@@ -54,6 +50,14 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     w[:-1] += h / 2.0
     w[1:] += h / 2.0
     return w
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with blocks ``a`` and ``b``."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def scalar_design(
     coeffs = np.linalg.lstsq(phi_x, x.T, rcond=None)[0].T
     xj = phi_x.T @ (trapezoid_weights(grid)[:, None] * phi_beta)
     rows = np.hstack([np.ones((x.shape[0], 1)), coeffs @ xj])
-    return RegressionDesign("scalar", grid, rows, block_diag(np.zeros((1, 1)), pen), phi_beta)
+    return RegressionDesign("scalar", grid, rows, _block_diag(np.zeros((1, 1)), pen), phi_beta)
 
 
 def concurrent_design(
@@ -147,7 +151,7 @@ def concurrent_design(
         [np.broadcast_to(phi_beta, (x.shape[0],) + phi_beta.shape), x[:, :, None] * phi_beta],
         axis=2,
     )
-    return RegressionDesign("concurrent", grid, rows, block_diag(pen, pen), phi_beta)
+    return RegressionDesign("concurrent", grid, rows, _block_diag(pen, pen), phi_beta)
 
 
 def _check_responses(design: RegressionDesign, y, kind: str) -> np.ndarray:
@@ -218,72 +222,3 @@ def fit_concurrent(design: RegressionDesign, y, lamb: float = 0.1) -> Regression
 def predict(fit: RegressionFit, design: RegressionDesign) -> np.ndarray:
     """Predicted responses of the design's curves."""
     return design.rows @ fit.alpha
-
-
-def cross_validate(design: RegressionDesign, y, lambdas=None) -> tuple[float, np.ndarray]:
-    """Leave-one-curve-out CV over the penalty grid; ties take the smaller.
-
-    Returns the chosen weight and the per-candidate prediction SSE.
-    """
-    y = _check_responses(design, y, design.kind)
-    n = y.shape[0]
-    if n < 3:
-        raise ValueError(f"leave-one-out needs at least 3 curves, got {n}")
-    if lambdas is None:
-        lambdas = default_lambda_grid()
-    lambdas = np.sort(np.asarray(lambdas, dtype=float))
-
-    # Each curve's rows as a block: one row for the scalar model, p rows
-    # for the concurrent one.
-    blocks = design.rows.reshape(n, -1, design.rows.shape[-1])
-    ys = y.reshape(n, -1)
-    grams = np.einsum("nij,nik->njk", blocks, blocks)
-    rhss = np.einsum("nij,ni->nj", blocks, ys)
-    gram = grams.sum(axis=0)
-    rhs = rhss.sum(axis=0)
-
-    scores = np.empty(lambdas.size)
-    for k, lamb in enumerate(lambdas):
-        sse = 0.0
-        try:
-            for i in range(n):
-                alpha, _ = _solve_penalized(gram - grams[i], rhs - rhss[i], design.penalty, float(lamb))
-                err = ys[i] - blocks[i] @ alpha
-                sse += float(err @ err)
-        except ValueError:
-            sse = np.inf
-        scores[k] = sse
-    best = int(np.argmin(scores))
-    return float(lambdas[best]), scores
-
-
-def _band(center, phi, cov):
-    se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", phi, cov, phi), 0.0, None))
-    return center - 1.96 * se, center + 1.96 * se
-
-
-def stderr_bands(fit: RegressionFit, design: RegressionDesign) -> dict:
-    """Model-based 95% bands for the coefficient function(s) of a fit on
-    ``design``.
-
-    The coefficient covariance is the sandwich M^-1 (D^T W D) M^-1 from the
-    penalized normal equations, with D every row of the design; W carries
-    the scalar residual variance, or for concurrent fits the residual
-    variance at each row's grid point.
-    """
-    d = design.rows.reshape(-1, design.rows.shape[-1])
-    w = np.broadcast_to(fit.sigma_e2, design.rows.shape[:-1]).reshape(-1)
-    m_inv = np.linalg.inv(fit.normal_matrix)
-    cov = m_inv @ (d.T @ (w[:, None] * d)) @ m_inv
-    phi = design.phi_beta
-    if fit.kind == "scalar":
-        se0 = float(np.sqrt(max(cov[0, 0], 0.0)))
-        return {
-            "beta0": (fit.beta0 - 1.96 * se0, fit.beta0 + 1.96 * se0),
-            "beta": _band(fit.beta, phi, cov[1:, 1:]),
-        }
-    kb = phi.shape[1]
-    return {
-        "beta0": _band(fit.beta0, phi, cov[:kb, :kb]),
-        "beta": _band(fit.beta, phi, cov[kb:, kb:]),
-    }

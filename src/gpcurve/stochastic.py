@@ -9,7 +9,11 @@ caches its inverse once asked for it.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -36,22 +40,60 @@ JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_LAPACK_ROUTINES = ("potrf", "potrs", "trtrs", "trtri", "gtsv", "pbtrf", "pbtrs")
+
+
+def _flapack_spec():
+    """Where scipy keeps its compiled LAPACK module, or None if not found."""
+    import scipy
+
+    paths = [os.path.join(path, "linalg") for path in scipy.__path__]
+    return importlib.machinery.PathFinder.find_spec(_FLAPACK, paths)
+
+
+def _flapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``.
+
+    It is executed by itself, without the scipy.linalg package around it
+    (which also loads scipy.sparse): that costs a few MB of memory and
+    milliseconds, not tens of each.  The module is registered under its
+    own name, so a later ``import scipy.linalg`` finds and reuses it.  A
+    scipy whose module cannot be located is imported the ordinary way.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    spec = _flapack_spec()
+    if spec is None:
+        return importlib.import_module(_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_FLAPACK]
+        raise
+    return module
+
+
 @lru_cache(maxsize=1)
 def _lapack() -> SimpleNamespace:
-    """Raw LAPACK Cholesky factor, Cholesky solve, triangular solve and
-    triangular inverse.
+    """The package's LAPACK routines in double precision: Cholesky factor
+    and solve, triangular solve and inverse, tridiagonal solve, and banded
+    Cholesky factor and solve.
 
-    The scipy.linalg wrappers' per-call dispatch costs more than the
-    arithmetic at the sizes a Gibbs sweep works on, so the samplers call
-    these directly with the arguments scipy.linalg would pass (the same bits
-    come out) and do the input checks themselves (finite inputs, the
-    ``info`` codes).  They are resolved on first use, so that a command that
-    factors nothing (``diagnose``) does not import scipy.linalg.
+    They are the objects ``scipy.linalg.lapack.get_lapack_funcs`` returns,
+    called with the arguments scipy.linalg would pass, so the same bits
+    come out; callers do scipy's input checks themselves (finite inputs,
+    the ``info`` codes).  The scipy.linalg wrappers' per-call dispatch costs
+    more than the arithmetic at the sizes a Gibbs sweep works on.  Resolved
+    on first use, so that a command that factors nothing (``diagnose``)
+    loads no scipy, and through :func:`_flapack`, so that none loads
+    scipy.linalg.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    names = ("potrf", "potrs", "trtrs", "trtri")
-    return SimpleNamespace(**dict(zip(names, get_lapack_funcs(names, dtype=np.float64))))
+    module = _flapack()
+    return SimpleNamespace(**{name: getattr(module, "d" + name) for name in _LAPACK_ROUTINES})
 
 
 class FactorizationError(np.linalg.LinAlgError):

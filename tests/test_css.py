@@ -8,23 +8,34 @@ from gpcurve.css import (
     default_lambda_grid,
     near_interp_weight,
 )
-from gpcurve.css import _penalized_solve, _smoother_trace, _spline_system
+from gpcurve.css import _gram, _penalized_solve, _smoother_trace, _spline_system
 
 
 def smoother_trace(grid, lamb):
     # The trace reuses the banded factor of the fit's penalized solve.
     q, r = _spline_system(grid)
-    qtq = (q.T @ q).tocsc()
+    qtq = _gram(q)
     alpha = (1.0 - lamb) / lamb
     _, factor = _penalized_solve(np.zeros(grid.size), alpha, q, r, qtq)
     return _smoother_trace(grid.size, alpha, factor, qtq)
 
 
+def dense_operators(grid):
+    # Q (n x (n-2)) and R ((n-2) x (n-2)) as dense matrices, from their bands.
+    q_bands, r_bands = _spline_system(grid)
+    cols = np.arange(grid.size - 2)
+    q = np.zeros((grid.size, grid.size - 2))
+    for k in range(3):
+        q[cols + k, cols] = q_bands[k]
+    off = r_bands[1, :-1]
+    return q, np.diag(r_bands[0]) + np.diag(off, -1) + np.diag(off, 1)
+
+
 def dense_smoother(grid, lamb):
     # Classical dense form: fitted = (I + alpha Q R^-1 Q^T)^-1 y.
-    q, r = _spline_system(grid)
+    q, r = dense_operators(grid)
     alpha = (1.0 - lamb) / lamb
-    k = q.toarray() @ np.linalg.solve(r.toarray(), q.toarray().T)
+    k = q @ np.linalg.solve(r, q.T)
     return np.linalg.inv(np.eye(grid.size) + alpha * k)
 
 

@@ -4,13 +4,11 @@ import pytest
 from gpcurve.bsplines import eval_basis, uniform_basis
 from gpcurve.fregress import (
     concurrent_design,
-    cross_validate,
     default_lambda_grid,
     fit_concurrent,
     fit_scalar_on_function,
     predict,
     scalar_design,
-    stderr_bands,
     trapezoid_weights,
 )
 
@@ -58,33 +56,13 @@ def test_scalar_predict_on_train_matches_fitted():
     design = scalar_design(GRID, x)
     fit = fit_scalar_on_function(design, y, lamb=0.1)
     np.testing.assert_allclose(predict(fit, design), fit.fitted, atol=1e-10)
+    # y -> 2y doubles the fitted coefficient function.
+    np.testing.assert_allclose(
+        fit_scalar_on_function(design, 2.0 * y, lamb=0.1).beta, 2.0 * fit.beta, atol=1e-9
+    )
     # New curves off the training grid are refused when their design is built.
     with pytest.raises(ValueError, match="must be \\(n, 60\\)"):
         scalar_design(GRID, x[:, :10])
-
-
-def test_scalar_bands_zero_width_without_noise():
-    x, y, _ = _span_scalar_problem()
-    design = scalar_design(GRID, x)
-    fit = fit_scalar_on_function(design, y, lamb=0.0)
-    bands = stderr_bands(fit, design)
-    lo, hi = bands["beta"]
-    np.testing.assert_allclose(hi - lo, 0.0, atol=1e-6)
-    lo0, hi0 = bands["beta0"]
-    assert hi0 - lo0 == pytest.approx(0.0, abs=1e-7)
-
-
-def test_scalar_scale_equivariance_of_bands():
-    # y -> 2y doubles the fit and, through sigma_e2 -> 4 sigma_e2, exactly
-    # doubles every band half-width.
-    x, y, _ = _span_scalar_problem(noise=0.5)
-    design = scalar_design(GRID, x)
-    fit1 = fit_scalar_on_function(design, y, lamb=0.2)
-    fit2 = fit_scalar_on_function(design, 2.0 * y, lamb=0.2)
-    np.testing.assert_allclose(fit2.beta, 2.0 * fit1.beta, atol=1e-9)
-    lo1, hi1 = stderr_bands(fit1, design)["beta"]
-    lo2, hi2 = stderr_bands(fit2, design)["beta"]
-    np.testing.assert_allclose(hi2 - lo2, 2.0 * (hi1 - lo1), rtol=1e-9)
 
 
 def test_concurrent_exact_recovery_in_span():
@@ -103,25 +81,6 @@ def test_concurrent_exact_recovery_in_span():
     np.testing.assert_allclose(predict(fit, design), fit.fitted, atol=1e-10)
 
 
-def test_concurrent_bands_match_row_stacked_sandwich():
-    # The design's D^T diag(w) D must equal the brute-force version with
-    # one weighted row per (curve, grid point), stacked by hand.
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, GRID.size))
-    y = rng.normal(size=(5, GRID.size))
-    fit_design = concurrent_design(GRID, x, beta_nbasis=6)
-    fit = fit_concurrent(fit_design, y, lamb=0.3)
-    phi = fit_design.phi_beta
-    design = np.vstack([np.hstack([phi, x[i][:, None] * phi]) for i in range(5)])
-    wvec = np.tile(np.asarray(fit.sigma_e2), 5)
-    m_inv = np.linalg.inv(fit.normal_matrix)
-    cov = m_inv @ (design.T @ (wvec[:, None] * design)) @ m_inv
-    kb = phi.shape[1]
-    se1 = np.sqrt(np.einsum("ij,jk,ik->i", phi, cov[kb:, kb:], phi))
-    lo, hi = stderr_bands(fit, fit_design)["beta"]
-    np.testing.assert_allclose(hi - lo, 2.0 * 1.96 * se1, rtol=1e-9)
-
-
 def test_lambda_zero_rank_deficient_raises():
     # 3 curves cannot identify 11 coefficients without the penalty.
     x, y, _ = _span_scalar_problem(n=3)
@@ -130,26 +89,6 @@ def test_lambda_zero_rank_deficient_raises():
         fit_scalar_on_function(design, y, lamb=0.0)
     fit = fit_scalar_on_function(design, y, lamb=0.1)
     assert np.isfinite(fit.beta).all()
-
-
-def test_cross_validate_scores_and_choice():
-    x, y, _ = _span_scalar_problem(n=6, noise=0.4, seed=5)
-    lamb, scores = cross_validate(scalar_design(GRID, x), y, lambdas=[0.0, 0.1, 0.5, 1.0])
-    # Leaving one of 6 curves out keeps 5 rows for 11 unknowns, so the
-    # unpenalized candidate is singular and scores inf.
-    assert scores[0] == np.inf
-    assert np.isfinite(scores[1:]).all()
-    assert lamb in (0.1, 0.5, 1.0)
-    assert scores[list([0.0, 0.1, 0.5, 1.0]).index(lamb)] == scores[1:].min()
-
-
-def test_cross_validate_validation():
-    x, y, _ = _span_scalar_problem(n=2)
-    with pytest.raises(ValueError, match="at least 3"):
-        cross_validate(scalar_design(GRID, x), y)
-    # The design carries the model's kind; a fit of the other kind refuses it.
-    with pytest.raises(ValueError, match="kind"):
-        fit_concurrent(scalar_design(GRID, x), y)
 
 
 def test_default_lambda_grid():
@@ -171,3 +110,6 @@ def test_fit_validation():
         fit_concurrent(concurrent_design(GRID, x), np.ones(5))
     with pytest.raises(ValueError, match="nonnegative"):
         fit_scalar_on_function(scalar_design(GRID, x), y, lamb=-0.1)
+    # The design carries the model's kind; a fit of the other kind refuses it.
+    with pytest.raises(ValueError, match="kind"):
+        fit_concurrent(scalar_design(GRID, x), y)

@@ -219,14 +219,6 @@ def test_run_config_validate():
         RunConfig(M=15, Burnin=10).validate()
 
 
-def test_run_config_dict_round_trip():
-    cfg = RunConfig(smethod="bhm", M=500, Burnin=100, nu=2.5, trange=[0.0, 1.0])
-    back = RunConfig.from_dict(cfg.to_dict())
-    assert back == cfg
-    with pytest.raises(ValueError, match="unknown config fields"):
-        RunConfig.from_dict({"M": 10, "bogus": 1})
-
-
 def test_lambda_candidates():
     np.testing.assert_allclose(
         RunConfig().lambda_candidates(), np.round(np.arange(0.90, 0.995, 0.01), 12)
@@ -261,7 +253,7 @@ def test_results_round_trip_with_sidecar(tmp_path, small_data, bhm_result):
     payload = load_results(path)
     assert payload["method"] == "bhm"
     np.testing.assert_array_equal(payload["grid"], result.grid)
-    assert RunConfig.from_dict(payload["config"]) == cfg
+    assert RunConfig(**payload["config"]) == cfg
     est = payload["estimates"]
     np.testing.assert_allclose(np.asarray(est["Z"]), result.Z)
     np.testing.assert_allclose(np.asarray(est["mu"]), result.mu)

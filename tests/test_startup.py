@@ -1,12 +1,12 @@
 """Start-up budget of the CLI: each command imports only what it runs.
 
-`simulate` and `diagnose` need neither the samplers nor the regression
-protocol, so they must start without the scipy subpackages those bring in;
 `diagnose` factors nothing and evaluates no special function, so it loads
 no scipy module at all.  The spline kernels are the package's own, so no
-command loads scipy.interpolate or the scipy.optimize it pulls in.  The
-checks run in fresh interpreters, since this test process has long imported
-everything.
+command loads scipy.interpolate or the scipy.optimize it pulls in, and the
+package reaches LAPACK through scipy's compiled module alone
+(`stochastic._lapack`), so no command loads scipy.linalg or the
+scipy.sparse it pulls in.  The checks run in fresh interpreters, since this
+test process has long imported everything.
 """
 
 import ast
@@ -22,9 +22,8 @@ import pytest
 import gpcurve
 from gpcurve import cli
 
-HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
-# What no command needs: the package evaluates splines with its own kernels.
-INTERPOLATE = ("scipy.interpolate", "scipy.optimize")
+# What no command loads.
+HEAVY = ("scipy.stats", "scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 PACKAGE_DIR = Path(gpcurve.__file__).resolve().parent
 
 # Runs `cli.main` on the given arguments (none: import only) and prints, on
@@ -102,19 +101,22 @@ def random_grid_data(workdir):
 
 @pytest.mark.parametrize("smethod", ["bhm", "babf"])
 def test_smooth_loads_no_interpolation_or_optimization(workdir, random_grid_data, smethod):
+    # Nor scipy.linalg or scipy.sparse: the splines are evaluated on the
+    # package's own kernels and the factorizations call LAPACK directly.
     fit = f"fit_{smethod}.json"
     report = _probe(
         workdir, "smooth", "--data", random_grid_data, "--out", fit, "--smethod", smethod,
         "--m", "6", "--M", "40", "--Burnin", "10", "--resid-thin", "2", "--seed", "3",
     )
-    assert [m for m in INTERPOLATE if m in report["scipy"]] == []
+    assert report["loaded"] == []
+    assert "scipy.linalg._flapack" in report["scipy"]
     # regress smooths the inputs with splines and fits penalized B-spline
-    # regressions, on its own kernels too.
+    # regressions, on the same kernels.
     report = _probe(
         workdir, "regress", "--data", random_grid_data, "--results", fit,
         "--replicates", "2", "--n-train", "4",
     )
-    assert [m for m in INTERPOLATE if m in report["scipy"]] == []
+    assert report["loaded"] == []
 
 
 @pytest.mark.parametrize("smethod", ["bhm", "babf"])
@@ -158,15 +160,73 @@ def _imported_modules(path: Path) -> set[str]:
     return names
 
 
-def test_no_module_imports_scipy_stats():
+def _importers(*packages: str) -> list[str]:
+    """The package's modules that import any of ``packages`` or their submodules."""
     sources = sorted(PACKAGE_DIR.rglob("*.py"))
     assert sources
-    offenders = [
+    return [
         path.name
         for path in sources
-        if any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in _imported_modules(path))
+        if any(m == p or m.startswith(p + ".") for m in _imported_modules(path) for p in packages)
     ]
-    assert offenders == []
+
+
+def test_no_module_imports_scipy_stats():
+    assert _importers("scipy.stats") == []
+
+
+def test_no_module_imports_scipy_linalg_or_scipy_sparse():
+    # LAPACK comes from scipy's compiled module, loaded by itself.
+    assert _importers("scipy.linalg", "scipy.sparse") == []
+
+
+# Loads the package's LAPACK routines in a fresh interpreter, with
+# scipy.linalg imported before them ("before"), after them ("after"), or
+# after a lookup of scipy's compiled module that finds nothing ("miss").
+# Prints whether scipy.linalg and scipy.sparse stayed unloaded, the routines
+# that are not the objects scipy.linalg hands out, whether
+# scipy.linalg.cholesky gives the package's factor, and what css_fit raises
+# on a NaN value.
+LOADER_PROBE = """
+import json, sys
+import numpy as np
+order = sys.argv[1]
+if order == "before":
+    import scipy.linalg
+from gpcurve import css, stochastic
+if order == "miss":
+    stochastic._flapack_spec = lambda: None
+routines = stochastic._lapack()
+alone = not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
+names = stochastic._LAPACK_ROUTINES
+others = [n for n in names if get_lapack_funcs((n,), dtype=float)[0] is not getattr(routines, n)]
+a = np.random.default_rng(0).standard_normal((6, 6))
+a = a @ a.T + 6.0 * np.eye(6)
+same = bool(np.array_equal(scipy.linalg.cholesky(a, lower=True), stochastic.cho_factor_lower(a)))
+grid = np.linspace(0.0, 1.0, 8)
+values = np.sin(grid)
+values[3] = np.nan
+try:
+    css.css_fit(grid, values, 0.9)
+    raised = None
+except Exception as err:
+    raised = type(err).__name__
+print(json.dumps({"alone": alone, "others": others, "same": same, "raised": raised}))
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after", "miss"])
+def test_lapack_routines_are_scipys_however_they_are_loaded(workdir, order):
+    out = _run(["-c", LOADER_PROBE, order], workdir).stdout.splitlines()[-1]
+    report = json.loads(out)
+    # Loaded first and found, the routines come without scipy.linalg; a miss
+    # falls back to importing it.
+    assert report["alone"] is (order == "after")
+    assert report["others"] == []
+    assert report["same"] is True
+    assert report["raised"] == "ValueError"
 
 
 @pytest.mark.parametrize("name", sorted(cli._DEFERRED))
