@@ -56,13 +56,22 @@ def test_scalar_predict_on_train_matches_fitted():
     design = scalar_design(GRID, x)
     fit = fit_scalar_on_function(design, y, lamb=0.1)
     np.testing.assert_allclose(predict(fit, design), fit.fitted, atol=1e-10)
-    # y -> 2y doubles the fitted coefficient function.
-    np.testing.assert_allclose(
-        fit_scalar_on_function(design, 2.0 * y, lamb=0.1).beta, 2.0 * fit.beta, atol=1e-9
-    )
     # New curves off the training grid are refused when their design is built.
     with pytest.raises(ValueError, match="must be \\(n, 60\\)"):
         scalar_design(GRID, x[:, :10])
+
+
+def test_scalar_scale_equivariance_of_bands():
+    # y -> 2y doubles the fit and takes sigma_e2 -> 4 sigma_e2 while the
+    # normal matrix stays put, so any sandwich band's half-width doubles.
+    x, y, _ = _span_scalar_problem(noise=0.5)
+    design = scalar_design(GRID, x)
+    fit1 = fit_scalar_on_function(design, y, lamb=0.2)
+    fit2 = fit_scalar_on_function(design, 2.0 * y, lamb=0.2)
+    np.testing.assert_allclose(fit2.beta, 2.0 * fit1.beta, atol=1e-9)
+    assert fit2.beta0 == pytest.approx(2.0 * fit1.beta0, abs=1e-9)
+    assert fit2.sigma_e2 == pytest.approx(4.0 * fit1.sigma_e2, rel=1e-9)
+    np.testing.assert_array_equal(fit2.normal_matrix, fit1.normal_matrix)
 
 
 def test_concurrent_exact_recovery_in_span():
@@ -110,6 +119,12 @@ def test_fit_validation():
         fit_concurrent(concurrent_design(GRID, x), np.ones(5))
     with pytest.raises(ValueError, match="nonnegative"):
         fit_scalar_on_function(scalar_design(GRID, x), y, lamb=-0.1)
+
+
+def test_cross_validate_validation():
+    x, y, _ = _span_scalar_problem(n=2)
     # The design carries the model's kind; a fit of the other kind refuses it.
     with pytest.raises(ValueError, match="kind"):
         fit_concurrent(scalar_design(GRID, x), y)
+    with pytest.raises(ValueError, match="kind"):
+        fit_scalar_on_function(concurrent_design(GRID, x), y)
