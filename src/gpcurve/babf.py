@@ -64,8 +64,7 @@ DEFAULT_L = 20
 class BabfContext(Design):
     """The coefficient design: basis evaluations and the transformed prior.
 
-    ``btau`` is the collocation matrix B(tau) and ``btau_inv`` its inverse;
-    ``bt`` holds each curve's basis rows at its observations, and
+    ``btau_inv`` is the inverse of the collocation matrix B(tau); ``bt`` holds each curve's basis rows at its observations, and
     ``b_pad``/``x_pad`` the same rows and the observations zero-padded to the
     longest curve, so the residuals of all curves are one batched product
     in which padded rows contribute exact zeros.
@@ -73,7 +72,6 @@ class BabfContext(Design):
 
     basis: BSplineBasis
     tau: np.ndarray
-    btau: np.ndarray
     btau_inv: np.ndarray
     bt: list[np.ndarray]
     b_pad: np.ndarray
@@ -163,7 +161,6 @@ def build_babf_context(
         signal_step=babf_step_coeffs,
         basis=basis,
         tau=tau,
-        btau=btau,
         btau_inv=btau_inv,
         bt=bt,
         b_pad=b_pad,

@@ -51,7 +51,6 @@ __all__ = [
     "BhmContext",
     "Design",
     "GibbsState",
-    "SelectionMap",
     "bhm_init",
     "bhm_run",
     "bhm_step_cov",
@@ -126,42 +125,21 @@ class Design:
 
 
 @dataclass
-class SelectionMap:
-    """Positions of each curve's observation grid inside the pooled grid."""
-
-    indices: list[np.ndarray]
-
-    @classmethod
-    def build(cls, data: FunctionalDataset) -> "SelectionMap":
-        return cls(
-            indices=[
-                grid_positions(data.pooled_grid, curve.grid, f"curve {i}", "the pooled grid")
-                for i, curve in enumerate(data.curves)
-            ]
-        )
-
-
-@dataclass
 class BhmContext(Design):
     """The full-grid design: a curve's coefficients are its values on the
     pooled grid, and ``prior_base`` is A there.
 
-    ``obs_mask`` (n, p) is 1 at each curve's observed points and
-    ``x_scatter`` holds the observations there, 0 elsewhere.  The
-    observations also come padded to ``m_max``, the size of the largest
-    observation grid: ``obs_valid`` (n, m_max) marks the real entries,
-    ``obs_flat`` holds their flat positions in an (n, p) array and ``x_obs``
-    their values, both in curve order.  ``block_gather`` (n, m_max, m_max)
-    holds flat indices that pick each curve's observed block out of a p x p
-    matrix bordered by one row and one column of zeros, a (p + 1) x (p + 1)
+    The observations come in curve order, padded to ``m_max``, the size of
+    the largest observation grid: ``obs_valid`` (n, m_max) marks the real
+    entries, ``obs_flat`` holds their flat positions in an (n, p) array and
+    ``x_obs`` their values.  ``block_gather`` (n, m_max, m_max) holds flat
+    indices that pick each curve's observed block out of a p x p matrix
+    bordered by one row and one column of zeros, a (p + 1) x (p + 1)
     matrix; padded entries pick the zero border.  It is None on a common
-    grid, which does not use it.
+    grid, where every curve observes every point and ``x_obs`` is the
+    (n, p) data row by row.
     """
 
-    smap: SelectionMap
-    obs_mask: np.ndarray
-    x_scatter: np.ndarray
-    common: bool
     obs_valid: np.ndarray
     obs_flat: np.ndarray
     x_obs: np.ndarray
@@ -182,18 +160,15 @@ def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
             "hyperparameters were built on a different grid than the pooled "
             "grid of this dataset"
         )
-    smap = SelectionMap.build(data)
+    indices = [
+        grid_positions(pooled, curve.grid, f"curve {i}", "the pooled grid")
+        for i, curve in enumerate(data.curves)
+    ]
     n, p = data.n_curves, pooled.size
-    obs_mask = np.zeros((n, p))
-    x_scatter = np.zeros((n, p))
-    for i, curve in enumerate(data.curves):
-        obs_mask[i, smap.indices[i]] = 1.0
-        x_scatter[i, smap.indices[i]] = curve.raw
-    sizes = np.array([idx.size for idx in smap.indices])
+    sizes = np.array([idx.size for idx in indices])
     obs_valid = np.arange(sizes.max())[None, :] < sizes[:, None]
     obs_idx = np.full(obs_valid.shape, p, dtype=np.intp)
-    obs_idx[obs_valid] = np.concatenate(smap.indices)
-    common = data.common_grid()
+    obs_idx[obs_valid] = np.concatenate(indices)
     return BhmContext(
         method="bhm",
         data=data,
@@ -204,14 +179,13 @@ def build_context(data: FunctionalDataset, hyper: HyperParams) -> BhmContext:
         grid=pooled,
         b_eval=None,
         signal_step=bhm_step_signals,
-        smap=smap,
-        obs_mask=obs_mask,
-        x_scatter=x_scatter,
-        common=common,
         obs_valid=obs_valid,
         obs_flat=(obs_idx + p * np.arange(n)[:, None])[obs_valid],
         x_obs=np.concatenate([curve.raw for curve in data.curves]),
-        block_gather=None if common else obs_idx[:, :, None] * (p + 1) + obs_idx[:, None, :],
+        block_gather=(
+            None if data.common_grid()
+            else obs_idx[:, :, None] * (p + 1) + obs_idx[:, None, :]
+        ),
     )
 
 
@@ -221,8 +195,7 @@ def bhm_init(ctx: BhmContext, est: EmpiricalEstimates) -> GibbsState:
     if est.grid.shape != ctx.grid.shape or not np.array_equal(est.grid, ctx.grid):
         raise ValueError("empirical estimates must be on the pooled grid")
     z0 = est.smoothed.copy()
-    for i, curve in enumerate(ctx.data.curves):
-        z0[i, ctx.smap.indices[i]] = curve.raw
+    np.put(z0, ctx.obs_flat, ctx.x_obs)
     return GibbsState(
         coef=z0,
         mu=est.mu_hat.copy(),
@@ -276,8 +249,8 @@ def bhm_step_signals(state: GibbsState, ctx: BhmContext, rng: RngStream) -> np.n
         raise np.linalg.LinAlgError(
             f"noise variance must be positive, got {state.sigma_eps2}"
         )
-    if ctx.common:
-        return canonical_signals(state, np.eye(ctx.dim), ctx.x_scatter, rng)
+    if ctx.block_gather is None:
+        return canonical_signals(state, np.eye(ctx.dim), ctx.x_obs.reshape(ctx.n, ctx.dim), rng)
 
     gen = rng.generator
     n, p = ctx.n, ctx.dim

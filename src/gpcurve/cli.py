@@ -115,22 +115,17 @@ def _require_out_dir(flag: str, path: str) -> None:
         raise ValueError(f"{flag} {path}: directory {parent} does not exist")
 
 
+def _config(cls, args, **converted):
+    """A ``cls`` dataclass from the flags whose ``dest`` names one of its
+    fields, with the ``converted`` values in place of their flags'; fields
+    without a flag keep their defaults."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+    return cls(**dict(values, **converted))
+
+
 def cmd_simulate(args) -> int:
     _require_out_dir("--out", args.out)
-    cfg = SimConfig(
-        n=args.n,
-        p=args.p,
-        au=args.au,
-        bu=args.bu,
-        s=args.s,
-        r=args.r,
-        nu=args.nu,
-        rho=args.rho,
-        dense=args.dense,
-        cgrid=bool(args.cgrid),
-        stat=bool(args.stat),
-        seed=args.seed,
-    )
+    cfg = _config(SimConfig, args, cgrid=bool(args.cgrid), stat=bool(args.stat))
     data = sim_gfd_rgrid(cfg) if args.rgrid else sim_gfd(cfg)
     sim_config = dict(dataclasses.asdict(cfg), rgrid=int(bool(args.rgrid)))
     save_dataset(args.out, data, domain=(cfg.au, cfg.bu), sim_config=sim_config)
@@ -140,32 +135,6 @@ def cmd_simulate(args) -> int:
         f"{data.pooled_grid.size} ({kind}, seed {cfg.seed})"
     )
     return EXIT_OK
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        smethod=args.smethod,
-        mat=args.mat,
-        M=args.M,
-        Burnin=args.Burnin,
-        w=args.w,
-        ws=args.ws,
-        c=args.c,
-        delta=args.delta,
-        nu=args.nu,
-        rho=args.rho,
-        pace=args.pace,
-        m=args.m,
-        tau=None if args.tau is None else _parse_floats("--tau", args.tau),
-        eval_grid=None if args.eval_grid is None else _parse_floats("--eval-grid", args.eval_grid),
-        trange=None if args.trange is None else list(args.trange),
-        lamb_min=args.lamb_min,
-        lamb_max=args.lamb_max,
-        lamb_step=args.lamb_step,
-        resid_thin=args.resid_thin,
-        chains=args.chains,
-        seed=args.seed,
-    )
 
 
 def _eval_grid_flags(args, cfg: RunConfig) -> np.ndarray | None:
@@ -190,7 +159,13 @@ def cmd_smooth(args) -> int:
             f"--chains {args.chains} with --no-draws would discard every chain after "
             "the first; drop --no-draws or pass --chains 1"
         )
-    cfg = _config_from_args(args)
+    cfg = _config(
+        RunConfig,
+        args,
+        tau=None if args.tau is None else _parse_floats("--tau", args.tau),
+        eval_grid=None if args.eval_grid is None else _parse_floats("--eval-grid", args.eval_grid),
+        trange=None if args.trange is None else list(args.trange),
+    )
     eval_grid = _eval_grid_flags(args, cfg)
     data, meta = load_dataset(args.data)
     cfg.cgrid = int(data.common_grid())
@@ -387,17 +362,26 @@ def cmd_diagnose(args) -> int:
             )
 
     if args.csv_prefix:
+        written = []
         if rows_psrf:
-            with open(f"{args.csv_prefix}_psrf.csv", "w", newline="") as handle:
+            written.append(f"{args.csv_prefix}_psrf.csv")
+            with open(written[-1], "w", newline="") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(["scalar", "psrf"])
                 writer.writerows(rows_psrf)
         if rows_curves:
-            with open(f"{args.csv_prefix}_curves.csv", "w", newline="") as handle:
+            written.append(f"{args.csv_prefix}_curves.csv")
+            with open(written[-1], "w", newline="") as handle:
                 writer = csv.DictWriter(handle, fieldnames=list(rows_curves[0]))
                 writer.writeheader()
                 writer.writerows(rows_curves)
-        print(f"wrote CSV files with prefix {args.csv_prefix}")
+        for path in written:
+            print(f"wrote {path}")
+        if not written:
+            print(
+                f"no CSV table written with prefix {args.csv_prefix}: the PSRF table needs "
+                "two monitored chains and the curves table needs --data"
+            )
     return EXIT_OK
 
 

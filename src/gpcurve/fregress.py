@@ -25,7 +25,6 @@ __all__ = [
     "RegressionDesign",
     "RegressionFit",
     "concurrent_design",
-    "default_lambda_grid",
     "fit_concurrent",
     "fit_scalar_on_function",
     "predict",
@@ -36,11 +35,6 @@ __all__ = [
 DEFAULT_X_NBASIS = 20
 DEFAULT_BETA_NBASIS = 10
 COND_LIMIT = 1e12
-
-
-def default_lambda_grid() -> np.ndarray:
-    """Penalty weight candidates 0, 0.1, ..., 1."""
-    return np.round(np.linspace(0.0, 1.0, 11), 12)
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -98,7 +92,6 @@ class RegressionFit:
     beta: np.ndarray
     fitted: np.ndarray
     sigma_e2: float | np.ndarray
-    normal_matrix: np.ndarray = field(repr=False)
 
 
 def _beta_basis(grid, x, beta_nbasis, domain):
@@ -174,7 +167,7 @@ def _solve_penalized(gram, rhs, pen, lamb):
                 "normal equations are rank deficient at lambda = 0; "
                 "supply a positive penalty weight"
             )
-    return np.linalg.solve(m, rhs), m
+    return np.linalg.solve(m, rhs)
 
 
 def _fit(design: RegressionDesign, y, lamb: float, kind: str):
@@ -183,14 +176,14 @@ def _fit(design: RegressionDesign, y, lamb: float, kind: str):
     if not lamb >= 0.0:
         raise ValueError(f"lamb must be nonnegative, got {lamb}")
     d = design.rows.reshape(-1, design.rows.shape[-1])
-    alpha, m = _solve_penalized(d.T @ d, d.T @ y.ravel(), design.penalty, float(lamb))
+    alpha = _solve_penalized(d.T @ d, d.T @ y.ravel(), design.penalty, float(lamb))
     fitted = (d @ alpha).reshape(y.shape)
-    return alpha, m, fitted, y - fitted
+    return alpha, fitted, y - fitted
 
 
 def fit_scalar_on_function(design: RegressionDesign, y, lamb: float = 0.1) -> RegressionFit:
     """Fit y_i = beta0 + integral X_i(t) beta(t) dt + noise on a scalar design."""
-    alpha, m, fitted, resid = _fit(design, y, lamb, "scalar")
+    alpha, fitted, resid = _fit(design, y, lamb, "scalar")
     return RegressionFit(
         kind="scalar",
         lamb=float(lamb),
@@ -199,13 +192,12 @@ def fit_scalar_on_function(design: RegressionDesign, y, lamb: float = 0.1) -> Re
         beta=design.phi_beta @ alpha[1:],
         fitted=fitted,
         sigma_e2=float(np.mean(resid**2)),
-        normal_matrix=m,
     )
 
 
 def fit_concurrent(design: RegressionDesign, y, lamb: float = 0.1) -> RegressionFit:
     """Fit Y_i(t) = beta0(t) + X_i(t) beta1(t) + noise on a concurrent design."""
-    alpha, m, fitted, resid = _fit(design, y, lamb, "concurrent")
+    alpha, fitted, resid = _fit(design, y, lamb, "concurrent")
     kb = design.phi_beta.shape[1]
     return RegressionFit(
         kind="concurrent",
@@ -215,7 +207,6 @@ def fit_concurrent(design: RegressionDesign, y, lamb: float = 0.1) -> Regression
         beta=design.phi_beta @ alpha[kb:],
         fitted=fitted,
         sigma_e2=np.mean(resid**2, axis=0),
-        normal_matrix=m,
     )
 
 

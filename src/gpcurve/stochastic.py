@@ -39,6 +39,10 @@ __all__ = [
 JITTER_BASE = 1e-10
 JITTER_MAX = 1e-4
 
+# The largest asymmetry SpdMatrix.from_matrix accepts, relative to the
+# largest magnitude of the matrix (at least 1).
+SYM_TOL = 1e-12
+
 
 _FLAPACK = "scipy.linalg._flapack"
 _LAPACK_ROUTINES = ("potrf", "potrs", "trtrs", "trtri", "gtsv", "pbtrf", "pbtrs")
@@ -247,9 +251,7 @@ class SpdMatrix:
     _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_matrix(
-        cls, mat, name: str = "matrix", sym_tol: float = 1e-12, factor=cho_factor_lower
-    ) -> "SpdMatrix":
+    def from_matrix(cls, mat, name: str = "matrix", factor=cho_factor_lower) -> "SpdMatrix":
         """Validate symmetry, symmetrize, and factor with the ridge schedule
         (see :func:`cholesky_with_jitter` for ``factor``)."""
         mat = np.asarray(mat, dtype=float)
@@ -258,10 +260,10 @@ class SpdMatrix:
         _check_finite(mat)
         scale = max(float(np.max(np.abs(mat))), 1.0)
         asym = float(np.max(np.abs(mat - mat.T)))
-        if asym > sym_tol * scale:
+        if asym > SYM_TOL * scale:
             raise ValueError(
                 f"{name} is not symmetric: max |mat - mat.T| = {asym:.3g} "
-                f"exceeds {sym_tol:g} relative"
+                f"exceeds {SYM_TOL:g} relative"
             )
         sym = (mat + mat.T) / 2.0
         chol, jitter = cholesky_with_jitter(sym, name=name, factor=factor)

@@ -199,11 +199,13 @@ def test_criterion_06_conjugate_oracles():
     data, hyper, ctx, state = _bhm_oracle_problem()
     n, p = ctx.n, ctx.dim
     sig_inv = np.linalg.inv(state.Sigma.mat)
+    # Each curve's positions in the pooled grid, taken from the data.
+    positions = [np.searchsorted(data.pooled_grid, c.grid) for c in data.curves]
 
     rng = RngStream(606)
     prec = np.array([bhm_step_noise(state, ctx, rng)[1] for _ in range(ORACLE_DRAWS)])
     rss = sum(
-        float(np.sum((c.raw - state.coef[i, ctx.smap.indices[i]]) ** 2))
+        float(np.sum((c.raw - state.coef[i, positions[i]]) ** 2))
         for i, c in enumerate(data.curves)
     )
     shape = hyper.a_eps + ctx.n_obs / 2.0
@@ -240,8 +242,11 @@ def test_criterion_06_conjugate_oracles():
     rng = RngStream(610)
     z_draws = np.array([bhm_step_signals(state, ctx, rng) for _ in range(ORACLE_DRAWS)])
     i = 1  # observes pooled points 0, 2, 3; point 1 is unobserved
-    v_i = np.linalg.inv(sig_inv + np.diag(ctx.obs_mask[i]) / state.sigma_eps2)
-    m_i = v_i @ (sig_inv @ state.mu + ctx.x_scatter[i] / state.sigma_eps2)
+    mask, x_i = np.zeros(p), np.zeros(p)
+    mask[positions[i]] = 1.0
+    x_i[positions[i]] = data.curves[i].raw
+    v_i = np.linalg.inv(sig_inv + np.diag(mask) / state.sigma_eps2)
+    m_i = v_i @ (sig_inv @ state.mu + x_i / state.sigma_eps2)
     for j in (0, 1):
         chk.mean(f"signal[{i},{j}]", z_draws[:, i, j], m_i[j])
         chk.var(f"signal[{i},{j}]", z_draws[:, i, j], v_i[j, j])

@@ -139,7 +139,8 @@ def test_trace_identity_for_the_scale_step():
     root = rng.normal(size=(ctx.dim, ctx.dim))
     sigma_zeta = root @ root.T + ctx.dim * np.eye(ctx.dim)
     a_tau = hyper.A.evaluate(ctx.tau).mat
-    sigma_grid = ctx.btau @ sigma_zeta @ ctx.btau.T
+    btau = eval_basis(ctx.basis, ctx.tau)
+    sigma_grid = btau @ sigma_zeta @ btau.T
     lhs = np.trace(a_tau @ np.linalg.inv(sigma_grid))
     rhs = np.trace(ctx.prior_base @ np.linalg.inv(sigma_zeta))
     assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -201,9 +202,10 @@ def test_coeff_step_rejects_a_non_positive_definite_precision():
 def test_init_round_trips_through_the_basis():
     data, hyper, ctx, state = coeff_problem()
     est = empirical_estimates(data, eval_grid=ctx.tau)
-    np.testing.assert_allclose(state.coef @ ctx.btau.T, est.smoothed, atol=1e-8)
-    np.testing.assert_allclose(ctx.btau @ state.mu, est.mu_hat, atol=1e-8)
-    np.testing.assert_allclose(ctx.btau @ ctx.mu0, hyper.mu0, atol=1e-8)
+    btau = eval_basis(ctx.basis, ctx.tau)
+    np.testing.assert_allclose(state.coef @ btau.T, est.smoothed, atol=1e-8)
+    np.testing.assert_allclose(btau @ state.mu, est.mu_hat, atol=1e-8)
+    np.testing.assert_allclose(btau @ ctx.mu0, hyper.mu0, atol=1e-8)
 
 
 def test_context_requires_hyper_on_working_grid():

@@ -6,7 +6,6 @@ from scipy import linalg as sla
 
 from gpcurve.bhm import (
     GibbsState,
-    SelectionMap,
     bhm_init,
     bhm_run,
     bhm_step_cov,
@@ -98,7 +97,7 @@ def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
     data = sim_gfd(SimConfig(n=7, p=12, seed=3))
     hyper = _hyper_for(data)
     ctx = build_context(data, hyper)
-    assert ctx.common
+    assert ctx.block_gather is None
     state = bhm_init(ctx, empirical_estimates(data))
     state.Sigma = bhm_step_cov(state, ctx, RngStream(1))
     draw = bhm_step_signals(state, ctx, RngStream(2))
@@ -108,7 +107,8 @@ def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
     g, info = sla.lapack.dtrtri(state.Sigma.chol, lower=1)
     assert info == 0
     sig_inv = g.T @ g
-    b = (sig_inv @ state.mu)[None, :] + ctx.x_scatter / state.sigma_eps2
+    x = np.stack([curve.raw for curve in data.curves])
+    b = (sig_inv @ state.mu)[None, :] + x / state.sigma_eps2
     chol = sla.cholesky(sig_inv + np.eye(p) / state.sigma_eps2, lower=True)
     z = gen.standard_normal((n, p))
     want = sla.cho_solve((chol, True), (b + z @ chol.T).T).T
@@ -117,7 +117,7 @@ def test_common_grid_signal_draw_equals_the_scipy_linalg_reference():
 
 def test_common_grid_signal_step_uses_exactly_n_times_p_normals():
     data, hyper, ctx, state = tiny_problem(common=True)
-    assert ctx.common
+    assert ctx.block_gather is None
     rng = RngStream(21, stream_id=1)
     bhm_step_signals(state, ctx, rng)
     fresh = RngStream(21, stream_id=1)
@@ -213,7 +213,7 @@ def signal_oracle(ctx, state, mask):
 
 def test_signal_step_moments_common_grid():
     data, hyper, ctx, state = tiny_problem(common=True)
-    assert ctx.common
+    assert ctx.block_gather is None
     draws = np.stack(
         [bhm_step_signals(state, ctx, RngStream(4000 + k)) for k in range(6000)]
     )
@@ -227,14 +227,17 @@ def test_signal_step_moments_common_grid():
 
 def test_signal_step_moments_irregular_grids():
     data, hyper, ctx, state = tiny_problem(common=False)
-    assert not ctx.common
+    assert ctx.block_gather is not None
     draws = np.stack(
         [bhm_step_signals(state, ctx, RngStream(5000 + k)) for k in range(6000)]
     )
     sig_inv = state.Sigma.inverse()
-    for i in range(3):
-        prec, cov = signal_oracle(ctx, state, ctx.obs_mask[i])
-        mean = cov @ (sig_inv @ state.mu + ctx.x_scatter[i] / state.sigma_eps2)
+    for i, curve in enumerate(data.curves):
+        idx = np.searchsorted(data.pooled_grid, curve.grid)
+        mask, x = np.zeros(ctx.dim), np.zeros(ctx.dim)
+        mask[idx], x[idx] = 1.0, curve.raw
+        prec, cov = signal_oracle(ctx, state, mask)
+        mean = cov @ (sig_inv @ state.mu + x / state.sigma_eps2)
         np.testing.assert_allclose(draws[:, i].mean(axis=0), mean, atol=0.03)
         np.testing.assert_allclose(np.cov(draws[:, i].T), cov, atol=0.03)
     # Unobserved points must show the widest spread: no data term there.
@@ -245,9 +248,13 @@ def test_signal_step_moments_irregular_grids():
 
 def test_selection_map_and_context_validation():
     data, hyper, ctx, _ = tiny_problem(common=False)
-    smap = SelectionMap.build(data)
-    for idx, curve in zip(smap.indices, data.curves):
-        np.testing.assert_array_equal(data.pooled_grid[idx], curve.grid)
+    # The padded layout holds each curve's observations in curve order.
+    np.testing.assert_array_equal(
+        np.tile(data.pooled_grid, ctx.n)[ctx.obs_flat],
+        np.concatenate([curve.grid for curve in data.curves]),
+    )
+    np.testing.assert_array_equal(ctx.x_obs, np.concatenate([curve.raw for curve in data.curves]))
+    np.testing.assert_array_equal(ctx.obs_valid.sum(axis=1), [c.grid.size for c in data.curves])
     other = HyperParams(
         grid=GRID + 1.0,
         mu0=hyper.mu0,
@@ -267,9 +274,9 @@ def test_init_pins_observed_values():
     data = sim_gfd(SimConfig(n=5, p=12, dense=0.5, cgrid=False, seed=3))
     est = empirical_estimates(data)
     hyper_state = bhm_init(build_context(data, _hyper_for(data)), est)
-    smap = SelectionMap.build(data)
     for i, curve in enumerate(data.curves):
-        np.testing.assert_array_equal(hyper_state.coef[i, smap.indices[i]], curve.raw)
+        idx = np.searchsorted(data.pooled_grid, curve.grid)
+        np.testing.assert_array_equal(hyper_state.coef[i, idx], curve.raw)
     np.testing.assert_array_equal(hyper_state.Sigma.mat, np.eye(12))
     assert hyper_state.sigma_s2 == 3.0
 

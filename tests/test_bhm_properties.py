@@ -65,7 +65,7 @@ def test_zeroed_normals_give_the_canonical_posterior_mean(layout, seed, noise_va
         b_s=1.0,
     )
     ctx = build_context(data, hyper)
-    assert not ctx.common
+    assert ctx.block_gather is not None
     mu = gen.standard_normal(p)
     state = GibbsState(
         coef=np.zeros((ctx.n, p)), mu=mu, Sigma=sigma, sigma_eps2=noise_var, sigma_s2=1.0

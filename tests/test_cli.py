@@ -155,6 +155,27 @@ def test_diagnose_psrf_table_and_csv(tmp_path, dataset, bhm_results, capsys):
     assert len(curve_rows) == 9
 
 
+def test_diagnose_csv_names_only_the_tables_it_writes(tmp_path, dataset, capsys):
+    fit = tmp_path / "one.json"
+    run(
+        "smooth", "--data", str(dataset), "--out", str(fit),
+        "--smethod", "bhm", "--M", "40", "--Burnin", "10", "--resid-thin", "4",
+    )
+    prefix = tmp_path / "diag"
+    capsys.readouterr()
+    assert run("diagnose", str(fit), "--csv-prefix", str(prefix)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.startswith("wrote ")]
+    assert lines[-1].startswith("no CSV table written")
+    assert list(tmp_path.glob("diag*")) == []
+
+    assert run("diagnose", str(fit), "--data", str(dataset), "--csv-prefix", str(prefix)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"wrote {prefix}_curves.csv"
+    assert not [line for line in lines[:-1] if "CSV" in line or line.startswith("wrote ")]
+    assert list(tmp_path.glob("diag*")) == [tmp_path / "diag_curves.csv"]
+
+
 def test_diagnose_rejects_mixed_methods(tmp_path, dataset, bhm_results, capsys):
     babf_out = tmp_path / "babf.json"
     run(
